@@ -153,7 +153,7 @@ ExecutionPlan ExecutionPlan::Build(const partition::DistributedGraph& dg,
                                    EdgeDirection gather_dir,
                                    EdgeDirection scatter_dir,
                                    bool graphx_counts, PlanLayout layout) {
-  GDP_CHECK_LE(dg.num_machines, 64u);
+  GDP_CHECK_LE(dg.num_machines, kMaxMachines);
   ExecutionPlan plan;
   plan.dg = &dg;
   plan.gather_dir = gather_dir;

@@ -12,6 +12,10 @@
 
 namespace gdp::engine {
 
+/// Most machines a plan (and so any GAS engine run) supports: the plan folds
+/// each vertex's placement into one 64-bit machine mask.
+inline constexpr uint32_t kMaxMachines = 64;
+
 namespace internal {
 
 /// Per-vertex placement data folded down to machine bitmasks (<= 64

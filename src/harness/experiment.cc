@@ -10,6 +10,8 @@
 #include "apps/wcc.h"
 #include "engine/async_coloring.h"
 #include "harness/experiment_internal.h"
+#include "obs/trace.h"
+#include "partition/constrained.h"
 #include "partition/validate.h"
 #include "util/check.h"
 
@@ -136,6 +138,24 @@ void FinalizeClusterMetrics(const sim::Cluster& cluster,
 
 namespace {
 
+/// Builds a fresh execution plan inside a "plan build" span on the cell's
+/// trace. The build costs host time only — no simulated time passes — so
+/// the span opens and closes at the cluster's current simulated clock. Its
+/// category is "plan", not "engine": a cached plan has no build, and the
+/// engine-category spans of cached and fresh cells stay identical.
+engine::ExecutionPlan BuildPlan(const ExperimentSpec& spec,
+                                const partition::DistributedGraph& dg,
+                                engine::EdgeDirection gather_dir,
+                                engine::EdgeDirection scatter_dir,
+                                const sim::Cluster& cluster,
+                                const obs::ExecContext& exec) {
+  obs::ScopedSpan span(exec.trace, exec.trace_track, "plan build", "plan",
+                       cluster.now_seconds());
+  return engine::ExecutionPlan::Build(
+      dg, gather_dir, scatter_dir,
+      spec.engine == engine::EngineKind::kGraphXPregel, spec.plan_layout);
+}
+
 /// Runs one GAS application, on a cached plan when `plans` is provided and
 /// on a freshly built one otherwise. The two paths are bit-identical: a
 /// plan is a pure function of (dg, directions, graphx flag, layout), and
@@ -153,8 +173,8 @@ engine::GasRunResult<App> RunGas(const ExperimentSpec& spec,
     return engine::RunGasEngine(spec.engine, *plan, cluster, std::move(app),
                                 options);
   }
-  const engine::ExecutionPlan plan = engine::ExecutionPlan::Build(
-      dg, App::kGatherDir, App::kScatterDir, graphx, spec.plan_layout);
+  const engine::ExecutionPlan plan = BuildPlan(
+      spec, dg, App::kGatherDir, App::kScatterDir, cluster, options.exec);
   return engine::RunGasEngine(spec.engine, plan, cluster, std::move(app),
                               options);
 }
@@ -218,9 +238,9 @@ void RunApp(const ExperimentSpec& spec,
           return apps::KCoreDecompose(spec.engine, *plan, cluster,
                                       spec.kcore_kmin, spec.kcore_kmax, opts);
         }
-        const engine::ExecutionPlan plan = engine::ExecutionPlan::Build(
-            dg, apps::KCoreApp::kGatherDir, apps::KCoreApp::kScatterDir,
-            graphx, spec.plan_layout);
+        const engine::ExecutionPlan plan =
+            BuildPlan(spec, dg, apps::KCoreApp::kGatherDir,
+                      apps::KCoreApp::kScatterDir, cluster, opts.exec);
         return apps::KCoreDecompose(spec.engine, plan, cluster,
                                     spec.kcore_kmin, spec.kcore_kmax, opts);
       }();
@@ -252,9 +272,9 @@ void RunApp(const ExperimentSpec& spec,
           return apps::CountTriangles(spec.engine, *plan, cluster,
                                       run_options);
         }
-        const engine::ExecutionPlan plan = engine::ExecutionPlan::Build(
-            dg, apps::NeighborListApp::kGatherDir,
-            apps::NeighborListApp::kScatterDir, graphx, spec.plan_layout);
+        const engine::ExecutionPlan plan = BuildPlan(
+            spec, dg, apps::NeighborListApp::kGatherDir,
+            apps::NeighborListApp::kScatterDir, cluster, run_options.exec);
         return apps::CountTriangles(spec.engine, plan, cluster, run_options);
       }();
       out->compute = r.stats;
@@ -314,6 +334,26 @@ ExperimentResult RunCell(const graph::EdgeList& edges,
 }
 
 }  // namespace
+
+util::Status ValidateExperimentSpec(const ExperimentSpec& spec) {
+  if (spec.num_machines == 0 || spec.partitions_per_machine == 0) {
+    return util::Status::InvalidArgument(
+        "machines and partitions per machine must be > 0");
+  }
+  if (spec.num_machines > engine::kMaxMachines) {
+    return util::Status::InvalidArgument(
+        "at most " + std::to_string(engine::kMaxMachines) +
+        " machines are supported; got " + std::to_string(spec.num_machines));
+  }
+  const uint32_t partitions = spec.num_machines * spec.partitions_per_machine;
+  if (spec.strategy == partition::StrategyKind::kPds &&
+      !partition::PdsPartitioner::IsPdsMachineCount(partitions, nullptr)) {
+    return util::Status::InvalidArgument(
+        "PDS requires p^2 + p + 1 partitions for a prime p; got " +
+        std::to_string(partitions));
+  }
+  return util::Status::Ok();
+}
 
 ExperimentResult RunExperiment(const graph::EdgeList& edges,
                                const ExperimentSpec& spec) {

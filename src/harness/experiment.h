@@ -11,6 +11,7 @@
 #include "obs/exec_context.h"
 #include "partition/ingest.h"
 #include "sim/timeline.h"
+#include "util/status.h"
 
 namespace gdp::harness {
 
@@ -103,6 +104,14 @@ struct ExperimentResult {
   double edge_balance_ratio = 0;
   sim::Timeline timeline;
 };
+
+/// Checks the parts of a spec a user supplies that the layers below would
+/// otherwise reject with a failed GDP_CHECK: InvalidArgument when the
+/// machine or partition count is 0, when there are more than
+/// engine::kMaxMachines machines, or when PDS is asked for a partition
+/// count that is not p^2 + p + 1 for a prime p. Entry points that take a
+/// spec from outside (CLIs) call it before RunExperiment.
+util::Status ValidateExperimentSpec(const ExperimentSpec& spec);
 
 /// Runs one experiment cell end to end (ingress + compute) on a fresh
 /// simulated cluster and reports the metrics. Deterministic for a given

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "harness/experiment_internal.h"
-#include "partition/strategy_registration.h"
 #include "partition/strategy_registry.h"
 #include "partition/validate.h"
 #include "util/check.h"
@@ -32,7 +31,6 @@ IngressKey PartitionCache::KeyFor(const graph::EdgeList& edges,
   key.master_policy = options.master_policy;
   key.use_partitioner_master_preference =
       options.use_partitioner_master_preference;
-  partition::EnsureBuiltinStrategiesRegistered();
   const partition::StrategyInfo* info =
       partition::StrategyRegistry::Instance().Find(spec.strategy);
   if (info != nullptr && info->traits.memory_budget_aware) {

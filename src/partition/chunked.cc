@@ -94,7 +94,7 @@ MachineId ChunkedPartitioner::PreferredMaster(graph::VertexId v) const {
 
 
 void RegisterChunkedStrategies() {
-  StrategyRegistry::Instance().Register(StrategyInfo{
+  RegistryForBuiltins().Register(StrategyInfo{
       .kind = StrategyKind::kChunked,
       .name = "Chunked",
       .traits = {.passes_required = 2, .needs_degree_precompute = true},

@@ -200,7 +200,7 @@ MachineId PdsPartitioner::Assign(const graph::Edge& e, uint32_t pass,
 
 
 void RegisterConstrainedStrategies() {
-  StrategyRegistry& registry = StrategyRegistry::Instance();
+  StrategyRegistry& registry = RegistryForBuiltins();
   registry.Register(StrategyInfo{
       .kind = StrategyKind::kGrid,
       .name = "Grid",

@@ -386,7 +386,7 @@ MachineId SnePartitioner::PreferredMaster(graph::VertexId v) const {
 // Registration
 
 void RegisterExpansionStrategies() {
-  StrategyRegistry& registry = StrategyRegistry::Instance();
+  StrategyRegistry& registry = RegistryForBuiltins();
   registry.Register(StrategyInfo{
       .kind = StrategyKind::kNe,
       .name = "NE",

@@ -248,7 +248,7 @@ MachineId HdrfPartitioner::Assign(const graph::Edge& e, uint32_t pass,
 
 
 void RegisterGreedyStrategies() {
-  StrategyRegistry& registry = StrategyRegistry::Instance();
+  StrategyRegistry& registry = RegistryForBuiltins();
   registry.Register(StrategyInfo{
       .kind = StrategyKind::kOblivious,
       .name = "Oblivious",

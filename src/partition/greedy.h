@@ -5,6 +5,7 @@
 
 #include "partition/partitioner.h"
 #include "partition/replica_table.h"
+#include "util/cache_line.h"
 #include "util/random.h"
 
 namespace gdp::partition {
@@ -13,8 +14,10 @@ namespace gdp::partition {
 /// Oblivious deliberately does *not* share assignment state between loading
 /// machines ("each machine is oblivious to the assignments made by the
 /// other machines", §5.2.2), so each loader has its own replica view, load
-/// counters, and — for HDRF — partial-degree counters.
-struct LoaderState {
+/// counters, and — for HDRF — partial-degree counters. Loaders run on
+/// different threads and write rng, touched_vertices and the min/max
+/// tracker per edge, so each state starts on a cache line of its own.
+struct alignas(util::kCacheLineBytes) LoaderState {
   LoaderState(graph::VertexId num_vertices, uint32_t num_partitions,
               uint64_t seed, bool track_degrees);
 

@@ -76,7 +76,7 @@ MachineId DbhPartitioner::Assign(const graph::Edge& e, uint32_t pass,
 }
 
 void RegisterHashStrategies() {
-  StrategyRegistry& registry = StrategyRegistry::Instance();
+  StrategyRegistry& registry = RegistryForBuiltins();
   registry.Register(StrategyInfo{
       .kind = StrategyKind::kRandom,
       .name = "Random",

@@ -176,7 +176,7 @@ MachineId HepPartitioner::PreferredMaster(graph::VertexId v) const {
 }
 
 void RegisterHepStrategies() {
-  StrategyRegistry::Instance().Register(StrategyInfo{
+  RegistryForBuiltins().Register(StrategyInfo{
       .kind = StrategyKind::kHep,
       .name = "HEP",
       .traits = {.passes_required = 3,

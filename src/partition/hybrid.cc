@@ -216,7 +216,7 @@ MachineId HybridGingerPartitioner::PreferredMaster(graph::VertexId v) const {
 
 
 void RegisterHybridStrategies() {
-  StrategyRegistry& registry = StrategyRegistry::Instance();
+  StrategyRegistry& registry = RegistryForBuiltins();
   registry.Register(StrategyInfo{
       .kind = StrategyKind::kHybrid,
       .name = "Hybrid",

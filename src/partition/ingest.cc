@@ -9,6 +9,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/phase_accumulator.h"
+#include "util/cache_line.h"
 #include "util/hash.h"
 #include "util/check.h"
 #include "util/mutex.h"
@@ -22,11 +23,13 @@ namespace {
 /// (not by pool lane): which lane runs a loader is scheduling-dependent,
 /// the loader index is not. All counters are integers, so the pass-barrier
 /// merge (in loader order) is independent of execution interleaving —
-/// the basis of the bit-identical-at-any-thread-count contract.
-struct LoaderScratch {
-  sim::PhaseAccumulator acc;                 ///< work ticks + send/recv bytes
-  std::vector<uint64_t> alloc_bytes;         ///< edge-record allocations
-  std::vector<uint64_t> deferred_free_bytes; ///< moved edges' old copies
+/// the basis of the bit-identical-at-any-thread-count contract. Loaders run
+/// concurrently, so each scratch and each of its counter arrays sits on
+/// cache lines of its own (util/cache_line.h).
+struct alignas(util::kCacheLineBytes) LoaderScratch {
+  sim::PhaseAccumulator acc;                       ///< ticks + send/recv bytes
+  util::LineVector<uint64_t> alloc_bytes;          ///< edge-record allocations
+  util::LineVector<uint64_t> deferred_free_bytes;  ///< moved edges' old copies
   uint64_t edges_moved = 0;
 
   void Reset(uint32_t num_machines) {

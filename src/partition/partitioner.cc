@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "partition/strategy_registration.h"
 #include "partition/strategy_registry.h"
 #include "util/check.h"
 
@@ -13,7 +12,6 @@ namespace {
 /// rank — the paper's Table 1.1 roster orders, reconstructed from traits.
 std::vector<StrategyKind> FamilyRoster(uint32_t family_bit,
                                        int StrategyTraits::* rank) {
-  EnsureBuiltinStrategiesRegistered();
   std::vector<const StrategyInfo*> members;
   for (const StrategyInfo* info : StrategyRegistry::Instance().All()) {
     if (info->traits.system_families & family_bit) members.push_back(info);
@@ -32,7 +30,6 @@ std::vector<StrategyKind> FamilyRoster(uint32_t family_bit,
 
 const std::vector<StrategyKind>& AllStrategies() {
   static const std::vector<StrategyKind> kAll = [] {
-    EnsureBuiltinStrategiesRegistered();
     std::vector<const StrategyInfo*> members;
     for (const StrategyInfo* info : StrategyRegistry::Instance().All()) {
       if (info->traits.in_paper_roster) members.push_back(info);
@@ -51,13 +48,11 @@ const std::vector<StrategyKind>& AllStrategies() {
 }
 
 const char* StrategyName(StrategyKind kind) {
-  EnsureBuiltinStrategiesRegistered();
   const StrategyInfo* info = StrategyRegistry::Instance().Find(kind);
   return info != nullptr ? info->name.c_str() : "Unknown";
 }
 
 util::StatusOr<StrategyKind> StrategyFromName(const std::string& name) {
-  EnsureBuiltinStrategiesRegistered();
   const StrategyInfo* info = StrategyRegistry::Instance().FindByName(name);
   if (info != nullptr) return info->kind;
   return util::Status::NotFound("unknown strategy: " + name);
@@ -77,7 +72,6 @@ std::vector<StrategyKind> GraphXStrategies() {
 
 std::unique_ptr<Partitioner> MakePartitioner(
     StrategyKind kind, const PartitionContext& context) {
-  EnsureBuiltinStrategiesRegistered();
   const StrategyInfo* info = StrategyRegistry::Instance().Find(kind);
   GDP_CHECK(info != nullptr);
   return info->factory(context);

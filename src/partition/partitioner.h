@@ -8,6 +8,7 @@
 
 #include "graph/types.h"
 #include "sim/cluster.h"
+#include "util/cache_line.h"
 #include "util/status.h"
 
 namespace gdp::partition {
@@ -124,9 +125,15 @@ struct PartitionContext {
 ///    safe to call concurrently with each other (const, no caching).
 class Partitioner {
  public:
+  /// One loader's work-tick counter, alone on its cache line: loaders
+  /// running on different threads bump their lanes 2-3 times per edge.
+  struct alignas(util::kCacheLineBytes) WorkTickLane {
+    uint64_t ticks = 0;
+  };
+
   explicit Partitioner(const PartitionContext& context)
       : context_(context),
-        work_ticks_(context.num_loaders > 0 ? context.num_loaders : 1, 0) {}
+        work_ticks_(context.num_loaders > 0 ? context.num_loaders : 1) {}
   virtual ~Partitioner() = default;
 
   const PartitionContext& context() const { return context_; }
@@ -159,7 +166,7 @@ class Partitioner {
   /// the `num_loaders` the ingestor will drive. Called once, before the
   /// first BeginPass, on one thread. Overrides must call the base.
   virtual void PrepareForIngest(uint32_t num_loaders) {
-    if (work_ticks_.size() < num_loaders) work_ticks_.resize(num_loaders, 0);
+    if (work_ticks_.size() < num_loaders) work_ticks_.resize(num_loaders);
   }
 
   /// Assigns edge `e` on `pass`; see class contract. Implementations must
@@ -183,8 +190,8 @@ class Partitioner {
   /// the last call, and resets that lane. Consumed by the Ingestor after
   /// each edge to charge the loading machine.
   uint64_t TakeAssignWorkTicks(uint32_t loader) {
-    uint64_t t = work_ticks_[loader];
-    work_ticks_[loader] = 0;
+    uint64_t t = work_ticks_[loader].ticks;
+    work_ticks_[loader].ticks = 0;
     return t;
   }
 
@@ -207,14 +214,14 @@ class Partitioner {
   /// Charges `ticks` x kWorkPerTick CPU units to `loader`'s accounting
   /// lane. Safe to call concurrently for different loaders.
   void AddWorkTicks(uint32_t loader, uint64_t ticks) {
-    work_ticks_[loader] += ticks;
+    work_ticks_[loader].ticks += ticks;
   }
 
  private:
   PartitionContext context_;
   /// Per-loader work-tick lanes; sized by the context's loader count and
   /// grown by PrepareForIngest.
-  std::vector<uint64_t> work_ticks_;
+  std::vector<WorkTickLane> work_ticks_;
 };
 
 /// Factory for any strategy. A thin wrapper over

@@ -23,31 +23,6 @@ void ReplicaTable::MergeFrom(const ReplicaTable& other) {
   }
 }
 
-bool ReplicaTable::Add(graph::VertexId v, sim::MachineId m) {
-  GDP_CHECK_LT(v, num_vertices_);
-  GDP_CHECK_LT(m, num_machines_);
-  uint64_t& word = words_[static_cast<size_t>(v) * words_per_vertex_ + m / 64];
-  uint64_t bit = 1ULL << (m % 64);
-  if (word & bit) return false;
-  word |= bit;
-  return true;
-}
-
-bool ReplicaTable::Contains(graph::VertexId v, sim::MachineId m) const {
-  const uint64_t word =
-      words_[static_cast<size_t>(v) * words_per_vertex_ + m / 64];
-  return (word >> (m % 64)) & 1;
-}
-
-uint32_t ReplicaTable::Count(graph::VertexId v) const {
-  uint32_t count = 0;
-  size_t base = static_cast<size_t>(v) * words_per_vertex_;
-  for (uint32_t w = 0; w < words_per_vertex_; ++w) {
-    count += std::popcount(words_[base + w]);
-  }
-  return count;
-}
-
 sim::MachineId ReplicaTable::First(graph::VertexId v) const {
   size_t base = static_cast<size_t>(v) * words_per_vertex_;
   for (uint32_t w = 0; w < words_per_vertex_; ++w) {

@@ -8,6 +8,7 @@
 
 #include "graph/types.h"
 #include "sim/cluster.h"
+#include "util/check.h"
 
 namespace gdp::partition {
 
@@ -21,13 +22,36 @@ class ReplicaTable {
 
   void Reset();
 
-  /// Adds machine m to v's replica set; returns true if newly added.
-  bool Add(graph::VertexId v, sim::MachineId m);
+  // Add, Contains and Count sit on the greedy kernels' per-edge path (HDRF
+  // calls Contains 2·P times per edge), so they are defined inline.
 
-  bool Contains(graph::VertexId v, sim::MachineId m) const;
+  /// Adds machine m to v's replica set; returns true if newly added.
+  bool Add(graph::VertexId v, sim::MachineId m) {
+    GDP_CHECK_LT(v, num_vertices_);
+    GDP_CHECK_LT(m, num_machines_);
+    uint64_t& word =
+        words_[static_cast<size_t>(v) * words_per_vertex_ + m / 64];
+    const uint64_t bit = 1ULL << (m % 64);
+    if (word & bit) return false;
+    word |= bit;
+    return true;
+  }
+
+  bool Contains(graph::VertexId v, sim::MachineId m) const {
+    const uint64_t word =
+        words_[static_cast<size_t>(v) * words_per_vertex_ + m / 64];
+    return (word >> (m % 64)) & 1;
+  }
 
   /// Number of machines holding v.
-  uint32_t Count(graph::VertexId v) const;
+  uint32_t Count(graph::VertexId v) const {
+    uint32_t count = 0;
+    const size_t base = static_cast<size_t>(v) * words_per_vertex_;
+    for (uint32_t w = 0; w < words_per_vertex_; ++w) {
+      count += static_cast<uint32_t>(std::popcount(words_[base + w]));
+    }
+    return count;
+  }
 
   /// Lowest-indexed machine holding v, or kInvalid when none.
   sim::MachineId First(graph::VertexId v) const;

@@ -24,8 +24,16 @@ void RegisterExpansionStrategies();   // expansion.cc (NE, SNE)
 void RegisterTwoPhaseStrategies();    // two_phase.cc (2PS)
 void RegisterHepStrategies();         // hep.cc
 
-/// Idempotent; every registry query path calls this first.
+/// Idempotent; StrategyRegistry::Instance() calls this first.
 void EnsureBuiltinStrategiesRegistered();
+
+class StrategyRegistry;
+
+/// The process-wide registry *without* the built-in guarantee: the
+/// Register*Strategies() hooks above register through it, because they run
+/// inside EnsureBuiltinStrategiesRegistered() and Instance() would re-enter
+/// it. Everything else uses StrategyRegistry::Instance().
+StrategyRegistry& RegistryForBuiltins();
 
 }  // namespace gdp::partition
 

@@ -8,12 +8,17 @@
 
 namespace gdp::partition {
 
-StrategyRegistry& StrategyRegistry::Instance() {
+StrategyRegistry& RegistryForBuiltins() {
   // Intentionally leaked: StrategyInfo pointers handed out by Find() must
   // outlive every static-destruction-order consumer.
   static StrategyRegistry* registry =
       new StrategyRegistry();  // NOLINT(no-naked-new)
   return *registry;
+}
+
+StrategyRegistry& StrategyRegistry::Instance() {
+  EnsureBuiltinStrategiesRegistered();
+  return RegistryForBuiltins();
 }
 
 void StrategyRegistry::Register(StrategyInfo info) {
@@ -64,7 +69,9 @@ std::vector<const StrategyInfo*> StrategyRegistry::All() const {
 void EnsureBuiltinStrategiesRegistered() {
   // The manifest runs once, in this fixed order, so registration order —
   // and with it AllStrategies()/roster iteration order — is deterministic
-  // no matter which query path hits the registry first.
+  // no matter which query path hits the registry first. The hooks register
+  // through RegistryForBuiltins(), not Instance(), which would re-enter
+  // this call_once.
   static std::once_flag once;
   std::call_once(once, [] {
     RegisterHashStrategies();
@@ -84,7 +91,6 @@ std::vector<StrategyKind> ExpansionFamilyStrategies() {
 }
 
 std::vector<StrategyKind> MemoryBudgetAwareStrategies() {
-  EnsureBuiltinStrategiesRegistered();
   return StrategyRegistry::Instance().KindsWhere(
       [](const StrategyTraits& t) { return t.memory_budget_aware; });
 }

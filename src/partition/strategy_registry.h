@@ -72,7 +72,7 @@ struct StrategyInfo {
 /// manifest in strategy_registration.h (called once, in a fixed order, so
 /// registration order is deterministic and no static-initializer tricks are
 /// needed to survive archive linking); external code may Register() more at
-/// runtime before first use. AllStrategies(), StrategyFromName(), the
+/// runtime, after the built-ins. AllStrategies(), StrategyFromName(), the
 /// system roster helpers, and MakePartitioner() are all thin queries over
 /// this registry — adding a strategy touches no core header.
 class StrategyRegistry {
@@ -107,6 +107,7 @@ class StrategyRegistry {
   }
 
  private:
+  friend StrategyRegistry& RegistryForBuiltins();
   StrategyRegistry() = default;
 
   mutable util::Mutex mu_;

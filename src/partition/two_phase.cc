@@ -154,7 +154,7 @@ MachineId TwoPsPartitioner::PreferredMaster(graph::VertexId v) const {
 }
 
 void RegisterTwoPhaseStrategies() {
-  StrategyRegistry::Instance().Register(StrategyInfo{
+  RegistryForBuiltins().Register(StrategyInfo{
       .kind = StrategyKind::kTwoPs,
       .name = "2PS",
       .traits = {.passes_required = 2,

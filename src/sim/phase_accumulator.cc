@@ -9,27 +9,22 @@
 namespace gdp::sim {
 
 void PhaseAccumulator::Reset(uint32_t num_machines) {
-  work_units_.assign(num_machines, 0);
-  sent_bytes_.assign(num_machines, 0);
-  recv_bytes_.assign(num_machines, 0);
+  num_machines_ = num_machines;
+  counts_.assign(3 * static_cast<size_t>(num_machines), 0);
 }
 
 void PhaseAccumulator::Merge(const PhaseAccumulator& other) {
-  GDP_CHECK_EQ(work_units_.size(), other.work_units_.size());
-  for (size_t m = 0; m < work_units_.size(); ++m) {
-    work_units_[m] += other.work_units_[m];
-    sent_bytes_[m] += other.sent_bytes_[m];
-    recv_bytes_[m] += other.recv_bytes_[m];
-  }
+  GDP_CHECK_EQ(num_machines_, other.num_machines_);
+  for (size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
 }
 
 void PhaseAccumulator::FlushTo(Cluster& cluster, double unit_value) const {
-  for (size_t m = 0; m < work_units_.size(); ++m) {
-    Machine& machine = cluster.machine(static_cast<MachineId>(m));
-    if (sent_bytes_[m] != 0) machine.ChargePhaseBytes(sent_bytes_[m]);
-    if (recv_bytes_[m] != 0) machine.ReceiveBytes(recv_bytes_[m]);
-    if (work_units_[m] != 0) {
-      machine.AddWork(static_cast<double>(work_units_[m]) * unit_value);
+  for (MachineId m = 0; m < num_machines_; ++m) {
+    Machine& machine = cluster.machine(m);
+    if (sent_bytes(m) != 0) machine.ChargePhaseBytes(sent_bytes(m));
+    if (recv_bytes(m) != 0) machine.ReceiveBytes(recv_bytes(m));
+    if (work_units(m) != 0) {
+      machine.AddWork(static_cast<double>(work_units(m)) * unit_value);
     }
   }
 }
@@ -37,12 +32,12 @@ void PhaseAccumulator::FlushTo(Cluster& cluster, double unit_value) const {
 void PhaseAccumulator::FlushToReplay(Cluster& cluster,
                                      double unit_value) const {
   const double whole_unit = 4.0 * unit_value;
-  for (size_t m = 0; m < work_units_.size(); ++m) {
-    Machine& machine = cluster.machine(static_cast<MachineId>(m));
-    if (sent_bytes_[m] != 0) machine.ChargePhaseBytes(sent_bytes_[m]);
-    if (recv_bytes_[m] != 0) machine.ReceiveBytes(recv_bytes_[m]);
-    GDP_DCHECK_EQ(work_units_[m] % 4, 0u);
-    for (uint64_t k = work_units_[m] / 4; k > 0; --k) {
+  for (MachineId m = 0; m < num_machines_; ++m) {
+    Machine& machine = cluster.machine(m);
+    if (sent_bytes(m) != 0) machine.ChargePhaseBytes(sent_bytes(m));
+    if (recv_bytes(m) != 0) machine.ReceiveBytes(recv_bytes(m));
+    GDP_DCHECK_EQ(work_units(m) % 4, 0u);
+    for (uint64_t k = work_units(m) / 4; k > 0; --k) {
       machine.AddWork(whole_unit);
     }
   }
@@ -50,13 +45,13 @@ void PhaseAccumulator::FlushToReplay(Cluster& cluster,
 
 uint64_t PhaseAccumulator::TotalWorkUnits() const {
   uint64_t total = 0;
-  for (uint64_t u : work_units_) total += u;
+  for (MachineId m = 0; m < num_machines_; ++m) total += work_units(m);
   return total;
 }
 
 uint64_t PhaseAccumulator::TotalSentBytes() const {
   uint64_t total = 0;
-  for (uint64_t b : sent_bytes_) total += b;
+  for (MachineId m = 0; m < num_machines_; ++m) total += sent_bytes(m);
   return total;
 }
 

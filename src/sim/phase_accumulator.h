@@ -2,9 +2,9 @@
 #define GDP_SIM_PHASE_ACCUMULATOR_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "sim/cluster.h"
+#include "util/cache_line.h"
 
 namespace gdp::sim {
 
@@ -34,6 +34,10 @@ namespace gdp::sim {
 ///    machine, reproducing the serial engine's exact rounding sequence for
 ///    arbitrary multipliers when every charge was a whole work unit (the
 ///    gather step). O(events), but only exotic multipliers need it.
+///
+/// Lanes are written concurrently, one per thread, so the three counter
+/// arrays live in one allocation of whole cache lines (util::LineVector):
+/// two accumulators never share a line, however they are allocated.
 class PhaseAccumulator {
  public:
   /// Prepares the accumulator for `num_machines` machines, zeroing it.
@@ -41,15 +45,15 @@ class PhaseAccumulator {
 
   /// Charges `quarter_units` x (0.25 * work_multiplier) of compute work.
   void AddWorkUnits(MachineId m, uint64_t quarter_units) {
-    work_units_[m] += quarter_units;
+    counts_[kWork * num_machines_ + m] += quarter_units;
   }
   /// Counts bytes the machine sends this phase (Machine::ChargePhaseBytes).
   void ChargeSendBytes(MachineId m, uint64_t bytes) {
-    sent_bytes_[m] += bytes;
+    counts_[kSent * num_machines_ + m] += bytes;
   }
   /// Counts bytes the machine receives (Machine::ReceiveBytes).
   void ChargeReceiveBytes(MachineId m, uint64_t bytes) {
-    recv_bytes_[m] += bytes;
+    counts_[kRecv * num_machines_ + m] += bytes;
   }
 
   /// Adds another lane's counts into this one. Integer sums, so merge order
@@ -65,9 +69,19 @@ class PhaseAccumulator {
   /// unit values. Requires every machine's units to be a multiple of 4.
   void FlushToReplay(Cluster& cluster, double unit_value) const;
 
-  uint64_t work_units(MachineId m) const { return work_units_[m]; }
-  uint64_t sent_bytes(MachineId m) const { return sent_bytes_[m]; }
-  uint64_t recv_bytes(MachineId m) const { return recv_bytes_[m]; }
+  uint64_t work_units(MachineId m) const {
+    return counts_[kWork * num_machines_ + m];
+  }
+  uint64_t sent_bytes(MachineId m) const {
+    return counts_[kSent * num_machines_ + m];
+  }
+  uint64_t recv_bytes(MachineId m) const {
+    return counts_[kRecv * num_machines_ + m];
+  }
+
+  /// First counter word (work unit of machine 0); the storage spans whole
+  /// cache lines from here. For the layout test.
+  const uint64_t* storage() const { return counts_.data(); }
 
   /// Sum of quarter-units over all machines. An integer sum in machine
   /// order, so it is bit-identical at any thread count — the value the
@@ -83,9 +97,13 @@ class PhaseAccumulator {
   static bool ClosedFormExact(double unit_value, uint64_t max_units);
 
  private:
-  std::vector<uint64_t> work_units_;
-  std::vector<uint64_t> sent_bytes_;
-  std::vector<uint64_t> recv_bytes_;
+  /// Array index of each counter kind in counts_: kind * num_machines_ + m.
+  static constexpr uint32_t kWork = 0;
+  static constexpr uint32_t kSent = 1;
+  static constexpr uint32_t kRecv = 2;
+
+  uint32_t num_machines_ = 0;
+  util::LineVector<uint64_t> counts_;
 };
 
 }  // namespace gdp::sim

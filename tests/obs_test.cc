@@ -6,6 +6,7 @@
 // and across the cached-vs-fresh grid paths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <iterator>
 #include <memory>
@@ -740,6 +741,49 @@ TEST(ObsHarnessTest, TimelineStyleRunExportsValidChromeTrace) {
   }
   EXPECT_TRUE(saw_loader_ticks);
   EXPECT_TRUE(saw_supersteps);
+}
+
+TEST(ObsHarnessTest, PlanBuildSpanIsTracedAndThreadInvariant) {
+  // A fresh (uncached) cell builds its execution plan inside a top-level
+  // "plan build" span that sits between ingress and the engine run on the
+  // simulated clock; every span's simulated fields match at threads
+  // {1,2,8}.
+  const graph::EdgeList edges = TestGraph();
+  std::vector<SimSpan> want_spans;
+  for (uint32_t threads : kThreadCounts) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    TraceRecorder trace;
+    harness::ExperimentSpec spec;
+    spec.num_machines = kMachines;
+    spec.strategy = partition::StrategyKind::kHdrf;
+    spec.app = harness::AppKind::kPageRankFixed;
+    spec.max_iterations = 5;
+    spec.exec.num_threads = threads;
+    spec.exec.trace = &trace;
+    const harness::ExperimentResult result =
+        harness::RunExperiment(edges, spec);
+
+    const std::vector<SimSpan> spans = SimSpans(trace);
+    const auto plan = std::find_if(
+        spans.begin(), spans.end(),
+        [](const SimSpan& s) { return std::get<0>(s) == "plan build"; });
+    ASSERT_NE(plan, spans.end());
+    EXPECT_EQ(std::get<1>(*plan), "plan");
+    EXPECT_EQ(std::get<3>(*plan), 0u);  // top level, not inside the engine
+    // No simulated time passes while the plan is built: the span sits
+    // where the engine run that follows it begins.
+    EXPECT_EQ(std::get<4>(*plan), std::get<5>(*plan));
+    ASSERT_NE(plan + 1, spans.end());
+    EXPECT_EQ(std::get<1>(*(plan + 1)), "engine");
+    EXPECT_EQ(std::get<4>(*(plan + 1)), std::get<4>(*plan));
+    EXPECT_GT(result.compute.iterations, 0u);
+
+    if (want_spans.empty()) {
+      want_spans = spans;
+    } else {
+      EXPECT_EQ(spans, want_spans);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

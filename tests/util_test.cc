@@ -7,6 +7,10 @@
 #include <atomic>
 #include <vector>
 
+#include "partition/greedy.h"
+#include "partition/partitioner.h"
+#include "sim/phase_accumulator.h"
+#include "util/cache_line.h"
 #include "util/check.h"
 #include "util/dense_bitset.h"
 #include "util/thread_pool.h"
@@ -543,6 +547,65 @@ TEST(ThreadPoolTest, DefaultThreadCountIsClamped) {
   uint32_t count = ThreadPool::DefaultThreadCount();
   EXPECT_GE(count, 1u);
   EXPECT_LE(count, 16u);
+}
+
+// ---------------------------------------------------------------------------
+// Per-lane scratch layout: state that different threads write lives on
+// cache lines of its own.
+// ---------------------------------------------------------------------------
+
+static_assert(alignof(partition::LoaderState) >= kCacheLineBytes);
+static_assert(alignof(partition::Partitioner::WorkTickLane) >=
+              kCacheLineBytes);
+
+uintptr_t LineOf(const void* p) {
+  return reinterpret_cast<uintptr_t>(p) / kCacheLineBytes;
+}
+
+TEST(CacheLineLayoutTest, LineVectorOwnsWholeLines) {
+  // Tiny vectors allocated back to back still start on distinct lines.
+  LineVector<uint64_t> a(3, 0);
+  LineVector<uint64_t> b(3, 0);
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(a.data()) % kCacheLineBytes, 0u);
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(b.data()) % kCacheLineBytes, 0u);
+  EXPECT_NE(LineOf(a.data()), LineOf(b.data()));
+  EXPECT_EQ(CacheLineAllocator<uint64_t>::RoundedBytes(3), kCacheLineBytes);
+  EXPECT_EQ(CacheLineAllocator<uint64_t>::RoundedBytes(9),
+            2 * kCacheLineBytes);
+}
+
+TEST(CacheLineLayoutTest, AccumulatorsResetBackToBackUseDistinctLines) {
+  // 9 machines: 27 counters = 216 bytes, four lines each. The last counter
+  // of one accumulator and the first of the other never share a line.
+  constexpr uint32_t kMachines = 9;
+  std::vector<sim::PhaseAccumulator> lanes(2);
+  for (sim::PhaseAccumulator& lane : lanes) lane.Reset(kMachines);
+  const uint64_t* first = lanes[0].storage();
+  const uint64_t* second = lanes[1].storage();
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(first) % kCacheLineBytes, 0u);
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(second) % kCacheLineBytes, 0u);
+  const uintptr_t first_last = LineOf(first + 3 * kMachines - 1);
+  const uintptr_t second_last = LineOf(second + 3 * kMachines - 1);
+  EXPECT_TRUE(first_last < LineOf(second) || second_last < LineOf(first));
+  // Reset keeps the counters zeroed and addressable per machine.
+  lanes[0].AddWorkUnits(8, 5);
+  lanes[0].ChargeSendBytes(0, 7);
+  lanes[0].ChargeReceiveBytes(8, 11);
+  EXPECT_EQ(lanes[0].work_units(8), 5u);
+  EXPECT_EQ(lanes[0].sent_bytes(0), 7u);
+  EXPECT_EQ(lanes[0].recv_bytes(8), 11u);
+  EXPECT_EQ(lanes[0].TotalWorkUnits(), 5u);
+  lanes[0].Reset(kMachines);
+  EXPECT_EQ(lanes[0].recv_bytes(8), 0u);
+}
+
+TEST(CacheLineLayoutTest, LoaderStatesStartOnTheirOwnLines) {
+  std::vector<partition::LoaderState> loaders;
+  loaders.reserve(2);
+  loaders.emplace_back(16, 4, /*seed=*/1, /*track_degrees=*/true);
+  loaders.emplace_back(16, 4, /*seed=*/2, /*track_degrees=*/true);
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(&loaders[0]) % kCacheLineBytes, 0u);
+  EXPECT_NE(LineOf(&loaders[0].max_load), LineOf(&loaders[1].rng));
 }
 
 }  // namespace

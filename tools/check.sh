@@ -98,8 +98,10 @@ run_leg() {
   }
 }
 
-# Leg 1: plain build + tests (includes the gdp_lint ctest test). -Werror
-# promotes the [[nodiscard]] Status discards to hard errors.
+# Leg 1: plain build + tests (includes the gdp_lint ctest test, the
+# gdp_run bad-input tests tool_run_rejects_* and the registry_first_call
+# executable). -Werror promotes the [[nodiscard]] Status discards to hard
+# errors.
 if run_leg "plain" "$ROOT/build-check" "" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS=-Werror; then
@@ -224,14 +226,16 @@ fi
 # byte-budgeted caches), and the neighbor-expansion family (NeFamily*
 # suites: NE/SNE/2PS/HEP determinism matrix across threads and
 # representations; MinHeap/StrategyRegistry cover the heap and the
-# locked registry those strategies dispatch through). RelWithDebInfo:
+# locked registry those strategies dispatch through), the greedy
+# strategies' per-loader state (Hdrf/Oblivious/LoaderState suites) and the
+# per-lane scratch layout (CacheLineLayout). RelWithDebInfo:
 # TSan+Debug is too slow for the determinism matrix, and the race coverage
 # is identical. The -R filter selects the discovered gtest suites that
 # exercise threads; claims_ benches are timing-based and excluded (none of
 # them match).
 export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 if run_leg "tsan" "$ROOT/build-tsan" \
-  '(EngineDeterminism|EngineCorrectness|EngineAccounting|EngineEdge|ExecutionPlan|KCoreDeterminism|ThreadPool|DenseBitset|PhaseAccumulator|Machine|Cluster|Async|Ingest|GridRunner|PartitionCache|PlanCache|Obs|Serving|EdgeBlockStore|StreamIngest|NeFamily|MinHeap|StrategyRegistry)' \
+  '(EngineDeterminism|EngineCorrectness|EngineAccounting|EngineEdge|ExecutionPlan|KCoreDeterminism|ThreadPool|DenseBitset|PhaseAccumulator|Machine|Cluster|Async|Ingest|GridRunner|PartitionCache|PlanCache|Obs|Serving|EdgeBlockStore|StreamIngest|NeFamily|MinHeap|StrategyRegistry|Hdrf|Oblivious|LoaderState|CacheLineLayout)' \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DGDP_SANITIZE=thread; then
   pass "tsan"

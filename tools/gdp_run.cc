@@ -54,6 +54,11 @@ int RunFromPlacement(const graph::EdgeList& edges, const std::string& app,
     std::fprintf(stderr, "error: %s\n", dg.status().ToString().c_str());
     return 1;
   }
+  if (machines > engine::kMaxMachines) {
+    std::fprintf(stderr, "error: at most %u machines are supported; got %u\n",
+                 engine::kMaxMachines, machines);
+    return 1;
+  }
   dg.value().num_machines = machines;
   sim::Cluster cluster(machines, sim::CostModel{});
   engine::RunOptions options;
@@ -127,6 +132,11 @@ int main(int argc, char** argv) {
   spec.num_machines = machines;
   spec.app = app;
   spec.max_iterations = 10;
+  const util::Status valid = harness::ValidateExperimentSpec(spec);
+  if (!valid.ok()) {
+    std::fprintf(stderr, "error: %s\n", valid.ToString().c_str());
+    return 1;
+  }
   harness::ExperimentResult r = harness::RunExperiment(edges, spec);
 
   std::printf("%s / %s / %s on %u machines\n", argv[2], argv[3],
