@@ -6,7 +6,8 @@
 //     at every thread count — the determinism contract (always checked).
 //  2. Frontier awareness: on sparse-frontier SSSP (road network) the plan
 //     engine at ONE thread beats the reference's full-edge-scan supersteps
-//     by >= 5x wall clock (always checked; algorithmic, needs no cores).
+//     by >= 5x wall clock, both sides timed best of 3 (always checked;
+//     algorithmic, needs no cores).
 //  3. Parallel scaling: >= 3x superstep throughput at 8 threads on
 //     power-law PageRank (checked only when the host has >= 8 hardware
 //     threads; printed as an explicit skip otherwise).
@@ -46,6 +47,22 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
       .count();
+}
+
+/// Best-of-3 wall seconds of `run`, restoring `cluster` to `start` before
+/// each repetition so every repetition charges the same simulated costs.
+template <typename Run>
+double BestOf3Seconds(sim::Cluster& cluster, const sim::ClusterSnapshot& start,
+                      Run&& run) {
+  double best = 1e100;
+  for (int rep = 0; rep < 3; ++rep) {
+    cluster.Restore(start);
+    const auto begin = std::chrono::steady_clock::now();
+    run();
+    const double seconds = SecondsSince(begin);
+    best = seconds < best ? seconds : best;
+  }
+  return best;
 }
 
 bool StatsIdentical(const engine::RunStats& a, const engine::RunStats& b) {
@@ -128,24 +145,29 @@ int main() {
   apps::SsspApp sssp_app;
   sssp_app.source = 0;
 
-  sim::Cluster sssp_ref_cluster(kMachines, sim::CostModel{});
-  partition::IngestResult sssp_ref_ingest = Partition(road, sssp_ref_cluster);
-  ref_start = std::chrono::steady_clock::now();
-  auto sssp_ref = engine::RunGasEngineReference(
-      engine::EngineKind::kPowerGraphSync, sssp_ref_ingest.graph,
-      sssp_ref_cluster, sssp_app, sssp_options);
-  const double sssp_ref_seconds = SecondsSince(ref_start);
-
+  // Both sides are timed best of 3 from the same ingested cluster state: a
+  // single timed run of either side lets one scheduler hiccup swing the
+  // ratio across the 5x bound.
   sim::Cluster sssp_cluster(kMachines, sim::CostModel{});
   partition::IngestResult sssp_ingest = Partition(road, sssp_cluster);
+  const sim::ClusterSnapshot sssp_ingested = sssp_cluster.Snapshot();
+  engine::GasRunResult<apps::SsspApp> sssp_ref;
+  const double sssp_ref_seconds =
+      BestOf3Seconds(sssp_cluster, sssp_ingested, [&] {
+        sssp_ref = engine::RunGasEngineReference(
+            engine::EngineKind::kPowerGraphSync, sssp_ingest.graph,
+            sssp_cluster, sssp_app, sssp_options);
+      });
+
   engine::RunOptions sssp_serial = sssp_options;
   sssp_serial.exec.num_threads = 1;
-  auto sssp_start = std::chrono::steady_clock::now();
-  auto sssp_got =
-      engine::RunGasEngine(engine::EngineKind::kPowerGraphSync,
-                           sssp_ingest.graph, sssp_cluster, sssp_app,
-                           sssp_serial);
-  const double sssp_plan_seconds = SecondsSince(sssp_start);
+  engine::GasRunResult<apps::SsspApp> sssp_got;
+  const double sssp_plan_seconds =
+      BestOf3Seconds(sssp_cluster, sssp_ingested, [&] {
+        sssp_got = engine::RunGasEngine(engine::EngineKind::kPowerGraphSync,
+                                        sssp_ingest.graph, sssp_cluster,
+                                        sssp_app, sssp_serial);
+      });
   const double sssp_speedup = sssp_ref_seconds / sssp_plan_seconds;
 
   // Frontier sparsity: the mean active fraction across supersteps is what

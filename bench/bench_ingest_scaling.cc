@@ -1,5 +1,5 @@
 // Ingress-pipeline benchmark (no paper figure): the parallel deterministic
-// ingress pipeline and the allocation-free greedy kernels against their
+// ingress pipeline and the allocation-free Oblivious kernel against their
 // preserved serial/allocating counterparts.
 //
 // Claims gating this bench:
@@ -9,9 +9,7 @@
 //  2. Allocation-free Oblivious kernel: same placements as the seed-style
 //     set_intersection/set_union kernel, >= 1.5x faster single-threaded
 //     (always checked; algorithmic, needs no cores).
-//  3. HDRF's incrementally-maintained min/max load matches the per-edge
-//     O(P) scan's placements exactly (always checked; speedup reported).
-//  4. Parallel ingress: >= 3x wall-clock speedup at 8 threads on power-law
+//  3. Parallel ingress: >= 3x wall-clock speedup at 8 threads on power-law
 //     graphs (checked only when the host has >= 8 hardware threads;
 //     printed as an explicit skip otherwise).
 
@@ -105,12 +103,11 @@ bool SnapshotsIdentical(const RunSnapshot& a, const RunSnapshot& b) {
 }
 
 // ---------------------------------------------------------------------------
-// Seed-style greedy kernels, preserved here as the baseline: sorted machine
-// vectors from ReplicaTable::Machines() merged with set_intersection /
-// set_union (two or three heap allocations per edge), and HDRF rescanning
-// all P loads per edge. Placements must match the allocation-free kernels
-// exactly — both visit candidate machines ascending and draw the same
-// tie-break sequence.
+// Seed-style Oblivious kernel, preserved here as the baseline: sorted
+// machine vectors from ReplicaTable::Machines() merged with
+// set_intersection / set_union (two or three heap allocations per edge).
+// Placements must match the allocation-free kernel exactly — both visit
+// candidate machines ascending and draw the same tie-break sequence.
 // ---------------------------------------------------------------------------
 
 MachineId LeastLoadedVec(const std::vector<MachineId>& candidates,
@@ -158,51 +155,8 @@ MachineId SeedObliviousAssign(partition::LoaderState& state,
   }
   state.replicas.Add(e.src, target);
   state.replicas.Add(e.dst, target);
-  state.AddEdgeTo(target);
+  ++state.machine_load[target];
   return target;
-}
-
-MachineId SeedHdrfAssign(partition::LoaderState& state, const graph::Edge& e,
-                         uint32_t num_partitions, double lambda) {
-  double deg_u = static_cast<double>(++state.partial_degree[e.src]);
-  double deg_v = static_cast<double>(++state.partial_degree[e.dst]);
-  double theta_u = deg_u / (deg_u + deg_v);
-  double theta_v = 1.0 - theta_u;
-
-  // The seed's per-edge O(P) scan the incremental tracking replaced.
-  uint64_t max_load = 0;
-  uint64_t min_load = std::numeric_limits<uint64_t>::max();
-  for (uint64_t load : state.machine_load) {
-    max_load = std::max(max_load, load);
-    min_load = std::min(min_load, load);
-  }
-  constexpr double kEpsilon = 1.0;
-
-  double best_score = -std::numeric_limits<double>::infinity();
-  uint32_t ties = 0;
-  MachineId chosen = 0;
-  for (MachineId m = 0; m < num_partitions; ++m) {
-    double g_u =
-        state.replicas.Contains(e.src, m) ? 1.0 + (1.0 - theta_u) : 0.0;
-    double g_v =
-        state.replicas.Contains(e.dst, m) ? 1.0 + (1.0 - theta_v) : 0.0;
-    double c_rep = g_u + g_v;
-    double c_bal = static_cast<double>(max_load - state.machine_load[m]) /
-                   (kEpsilon + static_cast<double>(max_load - min_load));
-    double score = c_rep + lambda * c_bal;
-    if (score > best_score + 1e-12) {
-      best_score = score;
-      chosen = m;
-      ties = 1;
-    } else if (score > best_score - 1e-12) {
-      ++ties;
-      if (state.rng.NextBounded(ties) == 0) chosen = m;
-    }
-  }
-  state.replicas.Add(e.src, chosen);
-  state.replicas.Add(e.dst, chosen);
-  state.AddEdgeTo(chosen);
-  return chosen;
 }
 
 struct KernelResult {
@@ -210,29 +164,25 @@ struct KernelResult {
   double wall_seconds = 0;
 };
 
-KernelResult RunSeedKernel(const graph::EdgeList& edges, bool hdrf) {
+KernelResult RunSeedKernel(const graph::EdgeList& edges) {
   partition::PartitionContext context = MakeContext(edges.num_vertices());
   // Loader 0's state, seeded exactly as GreedyPartitionerBase seeds it.
   partition::LoaderState state(context.num_vertices, kMachines,
                                util::Mix64(context.seed ^ 1),
-                               /*track_degrees=*/hdrf);
+                               /*track_degrees=*/false);
   KernelResult r;
   r.placements.reserve(edges.num_edges());
   auto start = std::chrono::steady_clock::now();
   for (const graph::Edge& e : edges.edges()) {
-    r.placements.push_back(hdrf
-                               ? SeedHdrfAssign(state, e, kMachines,
-                                                context.hdrf_lambda)
-                               : SeedObliviousAssign(state, e));
+    r.placements.push_back(SeedObliviousAssign(state, e));
   }
   r.wall_seconds = SecondsSince(start);
   return r;
 }
 
-KernelResult RunNewKernel(const graph::EdgeList& edges,
-                          partition::StrategyKind kind) {
-  auto partitioner =
-      partition::MakePartitioner(kind, MakeContext(edges.num_vertices()));
+KernelResult RunNewKernel(const graph::EdgeList& edges) {
+  auto partitioner = partition::MakePartitioner(
+      partition::StrategyKind::kOblivious, MakeContext(edges.num_vertices()));
   KernelResult r;
   r.placements.reserve(edges.num_edges());
   partitioner->BeginPass(0);
@@ -262,7 +212,7 @@ int main() {
 
   // ---- Claim 1: bit-identity vs the serial reference. --------------------
   bool identical = true;
-  // ---- Claim 4 data: wall-clock scaling. ---------------------------------
+  // ---- Claim 3 data: wall-clock scaling. ---------------------------------
   util::Table scaling({"strategy", "threads", "ingress wall(ms)", "speedup",
                        "== reference"});
   double speedup_at_8[2] = {0, 0};
@@ -290,31 +240,20 @@ int main() {
   }
   bench::PrintTable(scaling);
 
-  // ---- Claims 2 & 3: allocation-free kernels vs seed-style kernels. ------
-  KernelResult obl_seed = RunSeedKernel(twitter, /*hdrf=*/false);
-  KernelResult obl_new =
-      RunNewKernel(twitter, partition::StrategyKind::kOblivious);
+  // ---- Claim 2: allocation-free Oblivious kernel vs the seed kernel. ----
+  KernelResult obl_seed = RunSeedKernel(twitter);
+  KernelResult obl_new = RunNewKernel(twitter);
   const bool obl_same = obl_seed.placements == obl_new.placements;
   const double obl_speedup = obl_seed.wall_seconds / obl_new.wall_seconds;
-
-  KernelResult hdrf_seed = RunSeedKernel(twitter, /*hdrf=*/true);
-  KernelResult hdrf_new =
-      RunNewKernel(twitter, partition::StrategyKind::kHdrf);
-  const bool hdrf_same = hdrf_seed.placements == hdrf_new.placements;
-  const double hdrf_speedup = hdrf_seed.wall_seconds / hdrf_new.wall_seconds;
 
   util::Table kernels({"kernel", "baseline(ms)", "optimized(ms)", "speedup",
                        "same placements"});
   kernels.AddRow({"Oblivious", util::Table::Num(obl_seed.wall_seconds * 1e3),
                   util::Table::Num(obl_new.wall_seconds * 1e3),
                   util::Table::Num(obl_speedup), obl_same ? "yes" : "NO"});
-  kernels.AddRow({"HDRF", util::Table::Num(hdrf_seed.wall_seconds * 1e3),
-                  util::Table::Num(hdrf_new.wall_seconds * 1e3),
-                  util::Table::Num(hdrf_speedup), hdrf_same ? "yes" : "NO"});
   bench::PrintTable(kernels);
 
   bench::Metric("oblivious_kernel_speedup_x", obl_speedup);
-  bench::Metric("hdrf_kernel_speedup_x", hdrf_speedup);
   bench::Metric("ingress_speedup_8t_oblivious_x", speedup_at_8[0]);
   bench::Metric("ingress_speedup_8t_hdrf_x", speedup_at_8[1]);
 
@@ -329,11 +268,6 @@ int main() {
       "the set_intersection/set_union kernel (measured " +
           util::Table::Num(obl_speedup, 2) + "x)",
       obl_same && obl_speedup >= 1.5);
-  ok &= bench::Claim(
-      "HDRF incremental min/max load tracking places edges identically to "
-      "the per-edge O(P) scan (speedup " +
-          util::Table::Num(hdrf_speedup, 2) + "x)",
-      hdrf_same);
   if (hw_threads >= 8) {
     ok &= bench::Claim(
         ">= 3x ingress wall-clock speedup at 8 threads (measured Oblivious " +

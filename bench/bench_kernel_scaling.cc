@@ -1,23 +1,19 @@
-// Kernel-level speed pass (no paper figure): the batched accounting
-// kernels and compressed CSR plans against the preserved per-edge baseline
-// (KernelMode::kPerEdge) and the serial reference oracle.
+// Kernel-level pass (no paper figure): the run-table accounting kernels on
+// both plan layouts against the serial reference oracle.
 //
-// Four claims gate this bench:
+// Two claims gate this bench:
 //  1. Identity matrix: heavy-tailed PageRank(10) under every engine in
 //     {PowerGraph, PowerLyra, GraphX} x layout {uncompressed, compressed}
-//     x threads {1,2,8}, batched kernels plus the per-edge baseline on the
-//     uncompressed layout — final states, RunStats, per-machine cluster
+//     x threads {1,2,8} — final states, RunStats, per-machine cluster
 //     accounting, AND engine span args all bit-identical to the serial
 //     reference (always checked).
 //  2. Sparse-frontier SSSP identity in both layouts — the compressed
 //     decode path must agree with the oracle when frontiers are lists,
 //     not bitsets (always checked).
-//  3. Batched kernels >= 1.5x single-thread superstep-loop speedup over
-//     the per-edge baseline on prebuilt plans (single-thread, needs no
-//     cores; skip-labeled under sanitizer builds, whose instrumentation
-//     flattens the memory-bound/compute-bound gap the claim measures).
-//  4. Compressed plans shrink adjacency storage >= 2x on the heavy-tailed
-//     graph (always checked; pure structure, no timing).
+//
+// It also reports, ungated, the single-thread superstep-loop wall time and
+// adjacency bytes of both layouts on a larger heavy-tailed graph, and
+// emits the byte ratio as the compressed_plan_shrink_x metric.
 
 #include <chrono>
 #include <cstdint>
@@ -35,21 +31,6 @@
 #include "obs/trace.h"
 #include "partition/ingest.h"
 #include "sim/cluster.h"
-
-// Sanitizer instrumentation slows every load/store by a similar constant,
-// compressing the batched-vs-per-edge wall-clock ratio below what any
-// uninstrumented build shows; the timing claim skip-labels itself there.
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define GDP_BENCH_SANITIZED 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
-    __has_feature(memory_sanitizer)
-#define GDP_BENCH_SANITIZED 1
-#endif
-#endif
-#ifndef GDP_BENCH_SANITIZED
-#define GDP_BENCH_SANITIZED 0
-#endif
 
 namespace {
 
@@ -102,7 +83,7 @@ std::vector<MachineState> ClusterState(const sim::Cluster& cluster) {
 }
 
 /// A span with wall-clock fields stripped: everything the engines must
-/// emit bit-identically regardless of kernel mode, layout, or lane count.
+/// emit bit-identically regardless of layout or lane count.
 using SimSpan = std::tuple<std::string, std::string, uint64_t, uint32_t,
                            double, double,
                            std::vector<std::pair<std::string, int64_t>>>;
@@ -115,23 +96,14 @@ std::vector<SimSpan> SimSpans(const obs::TraceRecorder& recorder) {
   return out;
 }
 
-struct KernelConfig {
-  engine::PlanLayout layout;
-  engine::KernelMode mode;
-};
-constexpr KernelConfig kConfigs[] = {
-    {engine::PlanLayout::kUncompressed, engine::KernelMode::kBatched},
-    {engine::PlanLayout::kCompressed, engine::KernelMode::kBatched},
-    // The per-edge baseline reads per-entry machine tags, so it only
-    // exists on the uncompressed layout.
-    {engine::PlanLayout::kUncompressed, engine::KernelMode::kPerEdge},
-};
+constexpr engine::PlanLayout kLayouts[] = {engine::PlanLayout::kUncompressed,
+                                           engine::PlanLayout::kCompressed};
 
 }  // namespace
 
 int main() {
   bench::PrintHeader(
-      "Kernel scaling — batched/compressed GAS kernels vs per-edge baseline",
+      "Kernel scaling — run-table GAS kernels on both plan layouts",
       "HDRF, 9 machines; PageRank on heavy-tailed social, SSSP on road "
       "grid");
 
@@ -146,7 +118,7 @@ int main() {
 
   bool identity_ok = true;
   util::Table id_table(
-      {"engine", "layout", "kernel", "threads", "wall(ms)", "identical"});
+      {"engine", "layout", "threads", "wall(ms)", "identical"});
   for (engine::EngineKind kind : {engine::EngineKind::kPowerGraphSync,
                                   engine::EngineKind::kPowerLyraHybrid,
                                   engine::EngineKind::kGraphXPregel}) {
@@ -165,17 +137,16 @@ int main() {
         ClusterState(cluster);
     const std::vector<SimSpan> ref_spans = SimSpans(ref_trace);
 
-    for (const KernelConfig& config : kConfigs) {
+    for (engine::PlanLayout layout : kLayouts) {
       const engine::ExecutionPlan plan = engine::ExecutionPlan::Build(
           ingest.graph, apps::PageRankApp::kGatherDir,
-          apps::PageRankApp::kScatterDir, graphx, config.layout);
+          apps::PageRankApp::kScatterDir, graphx, layout);
       for (uint32_t threads : kThreadCounts) {
         cluster.Restore(ingested);
         obs::TraceRecorder trace;
         engine::RunOptions options = pr_options;
         options.exec.num_threads = threads;
         options.exec.trace = &trace;
-        options.kernel_mode = config.mode;
         const auto start = std::chrono::steady_clock::now();
         const auto got =
             engine::RunGasEngine(kind, plan, cluster, pr_app, options);
@@ -186,8 +157,7 @@ int main() {
                                SimSpans(trace) == ref_spans;
         identity_ok = identity_ok && identical;
         id_table.AddRow({engine::EngineKindName(kind),
-                         engine::PlanLayoutName(config.layout),
-                         engine::KernelModeName(config.mode),
+                         engine::PlanLayoutName(layout),
                          std::to_string(threads),
                          util::Table::Num(seconds * 1e3),
                          identical ? "yes" : "NO"});
@@ -215,8 +185,7 @@ int main() {
         sssp_app, sssp_options);
     const std::vector<MachineState> ref_cluster_state =
         ClusterState(cluster);
-    for (engine::PlanLayout layout : {engine::PlanLayout::kUncompressed,
-                                      engine::PlanLayout::kCompressed}) {
+    for (engine::PlanLayout layout : kLayouts) {
       const engine::ExecutionPlan plan = engine::ExecutionPlan::Build(
           ingest.graph, apps::SsspApp::kGatherDir,
           apps::SsspApp::kScatterDir, /*graphx_counts=*/false, layout);
@@ -234,7 +203,7 @@ int main() {
     }
   }
 
-  // ---- Claims 3 + 4: speed and memory on the big heavy-tailed graph -----
+  // ---- Report: layout wall time and memory on the big graph ------------
   graph::EdgeList social = graph::GenerateHeavyTailed(
       {.num_vertices = 30000, .edges_per_vertex = 24, .seed = 0x0D});
   social.set_name("heavy-tailed social (speed/memory)");
@@ -243,24 +212,21 @@ int main() {
   partition::IngestResult speed_ingest = Partition(social, speed_cluster);
   const sim::ClusterSnapshot speed_ingested = speed_cluster.Snapshot();
 
-  const engine::ExecutionPlan plain_plan = engine::ExecutionPlan::Build(
-      speed_ingest.graph, apps::PageRankApp::kGatherDir,
-      apps::PageRankApp::kScatterDir, /*graphx_counts=*/false);
-  const engine::ExecutionPlan packed_plan = engine::ExecutionPlan::Build(
-      speed_ingest.graph, apps::PageRankApp::kGatherDir,
-      apps::PageRankApp::kScatterDir, /*graphx_counts=*/false,
-      engine::PlanLayout::kCompressed);
-
   // Superstep-loop wall time only: prebuilt plans, one lane, best of 3
   // (plan build and ingress are amortized in real grids — PlanCache).
-  auto time_kernel = [&](const engine::ExecutionPlan& plan,
-                         engine::KernelMode mode) {
+  util::Table speed_table(
+      {"layout", "wall(ms)", "adjacency bytes", "bytes/entry"});
+  uint64_t layout_bytes[2] = {0, 0};
+  for (int i = 0; i < 2; ++i) {
+    const engine::ExecutionPlan plan = engine::ExecutionPlan::Build(
+        speed_ingest.graph, apps::PageRankApp::kGatherDir,
+        apps::PageRankApp::kScatterDir, /*graphx_counts=*/false,
+        kLayouts[i]);
     double best = 1e100;
     for (int rep = 0; rep < 3; ++rep) {
       speed_cluster.Restore(speed_ingested);
       engine::RunOptions options = pr_options;
       options.exec.num_threads = 1;
-      options.kernel_mode = mode;
       const auto start = std::chrono::steady_clock::now();
       const auto got = engine::RunGasEngine(
           engine::EngineKind::kPowerGraphSync, plan, speed_cluster, pr_app,
@@ -269,74 +235,30 @@ int main() {
       best = seconds < best ? seconds : best;
       (void)got;
     }
-    return best;
-  };
-  const double per_edge_seconds =
-      time_kernel(plain_plan, engine::KernelMode::kPerEdge);
-  const double batched_seconds =
-      time_kernel(plain_plan, engine::KernelMode::kBatched);
-  const double compressed_seconds =
-      time_kernel(packed_plan, engine::KernelMode::kBatched);
-  const double speedup = per_edge_seconds / batched_seconds;
-
-  const uint64_t plain_bytes = plain_plan.AdjacencyBytes();
-  const uint64_t packed_bytes = packed_plan.AdjacencyBytes();
-  const double shrink = static_cast<double>(plain_bytes) /
-                        static_cast<double>(packed_bytes);
-
-  util::Table speed_table({"kernel", "layout", "wall(ms)", "speedup",
-                           "adjacency bytes", "shrink"});
-  speed_table.AddRow({"per-edge", "uncompressed",
-                      util::Table::Num(per_edge_seconds * 1e3), "1.00",
-                      std::to_string(plain_bytes), "1.00"});
-  speed_table.AddRow({"batched", "uncompressed",
-                      util::Table::Num(batched_seconds * 1e3),
-                      util::Table::Num(speedup),
-                      std::to_string(plain_bytes), "1.00"});
-  speed_table.AddRow({"batched", "compressed",
-                      util::Table::Num(compressed_seconds * 1e3),
-                      util::Table::Num(per_edge_seconds / compressed_seconds),
-                      std::to_string(packed_bytes),
-                      util::Table::Num(shrink)});
+    layout_bytes[i] = plan.AdjacencyBytes();
+    const uint64_t entries =
+        plan.gather_offsets.back() + plan.scatter_offsets.back();
+    speed_table.AddRow(
+        {engine::PlanLayoutName(kLayouts[i]), util::Table::Num(best * 1e3),
+         std::to_string(layout_bytes[i]),
+         util::Table::Num(static_cast<double>(layout_bytes[i]) /
+                          static_cast<double>(entries))});
+  }
   bench::PrintTable(speed_table);
-
-  bench::Metric("batched_kernel_speedup_x", speedup);
-  bench::Metric("compressed_plan_shrink_x", shrink);
-  bench::Metric("compressed_kernel_speedup_x",
-                per_edge_seconds / compressed_seconds);
+  bench::Metric("compressed_plan_shrink_x",
+                static_cast<double>(layout_bytes[0]) /
+                    static_cast<double>(layout_bytes[1]));
 
   // ---- Claims ----
   bool ok = true;
   ok &= bench::Claim(
       "states, RunStats, per-machine accounting, and span args "
       "bit-identical to the serial reference across 3 engines x layouts x "
-      "kernels x threads {1,2,8} (heavy-tailed PageRank)",
+      "threads {1,2,8} (heavy-tailed PageRank)",
       identity_ok);
   ok &= bench::Claim(
       "sparse-frontier SSSP bit-identical in both layouts at every thread "
       "count",
       sssp_ok);
-  if (!GDP_BENCH_SANITIZED) {
-    ok &= bench::Claim(
-        "batched kernels >= 1.5x single-thread superstep-loop speedup over "
-        "the per-edge baseline (measured " +
-            util::Table::Num(speedup, 2) + "x)",
-        speedup >= 1.5);
-  } else {
-    // Identity claims above still bind under sanitizers; the wall-clock
-    // ratio does not. Counts as reproduced-by-skip, explicitly labeled.
-    ok &= bench::Claim(
-        "batched-kernel speedup claim skipped: sanitizer build (measured " +
-            util::Table::Num(speedup, 2) +
-            "x under instrumentation); rerun uninstrumented to evaluate",
-        true);
-  }
-  ok &= bench::Claim(
-      "compressed plans shrink adjacency storage >= 2x on the heavy-tailed "
-      "graph (measured " +
-          util::Table::Num(shrink, 2) + "x: " +
-          std::to_string(plain_bytes) + " -> " +
-          std::to_string(packed_bytes) + " bytes)",
-      shrink >= 2.0);
   return ok ? 0 : 1;
 }

@@ -123,19 +123,14 @@ GasRunResult<App> RunGasEngine(EngineKind kind, const ExecutionPlan& plan,
     GDP_CHECK_EQ(plan.gather_partition_count.size(), n);
   }
 
-  // --- Kernel selection ----------------------------------------------------
-  // kBatched charges each center's adjacency through the plan's
-  // (machine, count) run tables — one multiply per distinct machine — and
-  // collects dense-scatter wakeups in lane-local bitsets merged
-  // word-parallel. kPerEdge is the preserved per-entry baseline. Both
-  // produce identical integer quarter-unit counts per machine (integer
-  // sums are order-free), so every flushed cost is bit-identical across
-  // modes, layouts, and thread counts.
-  const bool batched = options.kernel_mode == KernelMode::kBatched;
+  // --- Accounting kernels --------------------------------------------------
+  // Each center's adjacency is charged through the plan's (machine, count)
+  // run tables — one multiply per distinct machine — and dense-scatter
+  // wakeups are collected in lane-local bitsets merged word-parallel. The
+  // integer quarter-unit count per machine equals the serial engine's
+  // per-edge sum (integer sums are order-free), so every flushed cost is
+  // bit-identical across layouts and thread counts.
   const bool compressed = plan.layout == PlanLayout::kCompressed;
-  // The per-edge kernels read per-entry machine tags, which the compressed
-  // layout deliberately does not store.
-  GDP_CHECK(batched || !compressed);
 
   // --- Accounting mode -----------------------------------------------------
   // Every work charge in the serial engine is an integer multiple of one
@@ -269,28 +264,19 @@ GasRunResult<App> RunGasEngine(EngineKind kind, const ExecutionPlan& plan,
                             auto&& set_bit) {
     const uint64_t begin = plan.scatter_offsets[v];
     const uint64_t end = plan.scatter_offsets[v + 1];
-    if (batched) {
-      if (compressed) {
-        internal::CompressedBlockCursor cur(plan.scatter_blob,
-                                            plan.scatter_block_bits[v],
-                                            plan.scatter_block_width[v], v);
-        for (uint64_t s = begin; s < end; ++s) set_bit(cur.Next());
-      } else {
-        for (uint64_t s = begin; s < end; ++s) {
-          set_bit(plan.scatter_target[s]);
-        }
-      }
-      for (uint64_t r = plan.scatter_run_offsets[v];
-           r < plan.scatter_run_offsets[v + 1]; ++r) {
-        const uint32_t run = plan.scatter_runs[r];
-        accs[lane].AddWorkUnits(ExecutionPlan::RunMachine(run),
-                                4ULL * ExecutionPlan::RunCount(run));
-      }
+    if (compressed) {
+      internal::CompressedBlockCursor cur(plan.scatter_blob,
+                                          plan.scatter_block_bits[v],
+                                          plan.scatter_block_width[v], v);
+      for (uint64_t s = begin; s < end; ++s) set_bit(cur.Next());
     } else {
-      for (uint64_t s = begin; s < end; ++s) {
-        accs[lane].AddWorkUnits(plan.scatter_machine[s], 4);  // NOLINT(no-per-edge-accounting)
-        set_bit(plan.scatter_target[s]);
-      }
+      for (uint64_t s = begin; s < end; ++s) set_bit(plan.scatter_target[s]);
+    }
+    for (uint64_t r = plan.scatter_run_offsets[v];
+         r < plan.scatter_run_offsets[v + 1]; ++r) {
+      const uint32_t run = plan.scatter_runs[r];
+      accs[lane].AddWorkUnits(ExecutionPlan::RunMachine(run),
+                              4ULL * ExecutionPlan::RunCount(run));
     }
   };
 
@@ -298,8 +284,8 @@ GasRunResult<App> RunGasEngine(EngineKind kind, const ExecutionPlan& plan,
   // neighbors of every signaled center. Activation signals piggyback on the
   // state-sync messages sent for the same vertices (the real engines
   // coalesce them), so scatter itself only charges compute work. On dense
-  // frontiers the batched kernels collect wakeups in lane-local bitsets
-  // (plain single-writer stores) merged afterwards with one word-parallel
+  // frontiers wakeups are collected in lane-local bitsets (plain
+  // single-writer stores) merged afterwards with one word-parallel
   // OrWith per lane, so the hot loop carries no lock-prefixed RMW; sparse
   // frontiers stay on SetAtomic — merging whole-size bitsets would cost
   // O(n/64) per lane to publish a handful of bits.
@@ -307,7 +293,7 @@ GasRunResult<App> RunGasEngine(EngineKind kind, const ExecutionPlan& plan,
   auto scatter_frontier = [&](const util::DenseBitset& from, uint64_t count,
                               util::DenseBitset& into) {
     const bool dense = count * 32 >= static_cast<uint64_t>(n);
-    if (batched && dense) {
+    if (dense) {
       if (scatter_local.empty()) {
         for (uint32_t t = 0; t < pool.num_threads(); ++t) {
           scatter_local.emplace_back(n);
@@ -403,7 +389,7 @@ GasRunResult<App> RunGasEngine(EngineKind kind, const ExecutionPlan& plan,
     // edge-scan order restricted to that center (plan.h) — the compressed
     // cursor decodes the same sequence — and only the center's lane touches
     // acc[v]/has_gather[v], so gather results are bit-identical to the
-    // serial engine at any lane count, layout, and kernel mode.
+    // serial engine at any lane count and layout.
 
     // Refresh the contribution cache on dense frontiers: a strided sweep
     // with no adjacency indirection (auto-vectorizable) hoists the per-edge
@@ -413,7 +399,7 @@ GasRunResult<App> RunGasEngine(EngineKind kind, const ExecutionPlan& plan,
     // count; either path folds identical bits (see HasGatherContribution).
     bool use_contrib = false;
     if constexpr (kHasContribution) {
-      use_contrib = batched && active_count * 4 >= static_cast<uint64_t>(n);
+      use_contrib = active_count * 4 >= static_cast<uint64_t>(n);
       if (use_contrib) {
         if (contrib.empty()) contrib.resize(n, gather_identity);
         constexpr uint64_t kBlock = 4096;
@@ -453,28 +439,20 @@ GasRunResult<App> RunGasEngine(EngineKind kind, const ExecutionPlan& plan,
               app.GatherEdge(v, nbr, state[nbr], ctx, &folded);
             }
           };
-          if (batched) {
-            if (compressed) {
-              internal::CompressedBlockCursor cur(
-                  plan.gather_blob, plan.gather_block_bits[v],
-                  plan.gather_block_width[v], v);
-              fold_entries([&] { return cur.Next(); });
-            } else {
-              uint64_t s = begin;
-              fold_entries([&] { return plan.gather_nbr[s++]; });
-            }
-            for (uint64_t r = plan.gather_run_offsets[v];
-                 r < plan.gather_run_offsets[v + 1]; ++r) {
-              const uint32_t run = plan.gather_runs[r];
-              accs[lane].AddWorkUnits(ExecutionPlan::RunMachine(run),
-                                      4ULL * ExecutionPlan::RunCount(run));
-            }
+          if (compressed) {
+            internal::CompressedBlockCursor cur(
+                plan.gather_blob, plan.gather_block_bits[v],
+                plan.gather_block_width[v], v);
+            fold_entries([&] { return cur.Next(); });
           } else {
-            for (uint64_t s = begin; s < end; ++s) {
-              const graph::VertexId nbr = plan.gather_nbr[s];
-              app.GatherEdge(v, nbr, state[nbr], ctx, &folded);
-              accs[lane].AddWorkUnits(plan.gather_machine[s], 4);  // NOLINT(no-per-edge-accounting)
-            }
+            uint64_t s = begin;
+            fold_entries([&] { return plan.gather_nbr[s++]; });
+          }
+          for (uint64_t r = plan.gather_run_offsets[v];
+               r < plan.gather_run_offsets[v + 1]; ++r) {
+            const uint32_t run = plan.gather_runs[r];
+            accs[lane].AddWorkUnits(ExecutionPlan::RunMachine(run),
+                                    4ULL * ExecutionPlan::RunCount(run));
           }
           acc[v] = std::move(folded);
           has_gather[v] = begin != end;

@@ -43,10 +43,11 @@ namespace {
 using util::WritePackedBits;
 using util::ZigZag;
 
-/// Folds a CSR's per-entry machine tags into per-vertex (machine, count)
-/// runs, ascending by machine. Counts are whole adjacency events (the
-/// engine charges 4 quarter-units per event), and integer accounting is
-/// order-free, so this regrouping cannot change any flushed cost.
+/// Folds a CSR's per-entry machine tags (a transient array; the plan keeps
+/// only the result) into per-vertex (machine, count) runs, ascending by
+/// machine. Counts are whole adjacency events (the engine charges 4
+/// quarter-units per event), and integer accounting is order-free, so this
+/// regrouping cannot change any flushed cost.
 void BuildAccountingRuns(const std::vector<uint64_t>& offsets,
                          const std::vector<uint8_t>& machines,
                          uint32_t num_machines,
@@ -137,9 +138,7 @@ const char* PlanLayoutName(PlanLayout layout) {
 uint64_t ExecutionPlan::AdjacencyBytes() const {
   uint64_t bytes = 0;
   bytes += gather_nbr.size() * sizeof(graph::VertexId);
-  bytes += gather_machine.size() * sizeof(uint8_t);
   bytes += scatter_target.size() * sizeof(graph::VertexId);
-  bytes += scatter_machine.size() * sizeof(uint8_t);
   bytes += gather_blob.size() * sizeof(uint64_t);
   bytes += gather_block_bits.size() * sizeof(uint64_t);
   bytes += gather_block_width.size() * sizeof(uint8_t);
@@ -208,53 +207,53 @@ ExecutionPlan ExecutionPlan::Build(const partition::DistributedGraph& dg,
         plan.scatter_offsets[v] + si * in_deg[v] + so * out_deg[v];
   }
   plan.gather_nbr.resize(plan.gather_offsets[n]);
-  plan.gather_machine.resize(plan.gather_offsets[n]);
   plan.scatter_target.resize(plan.scatter_offsets[n]);
-  plan.scatter_machine.resize(plan.scatter_offsets[n]);
 
   // Fill pass in ORIGINAL edge order, with the in-direction (dst-center)
   // entry of an edge appended before its out-direction (src-center) entry.
   // This matches the serial engine's edge scan, which handles gather_dst
   // before gather_src within each edge — required for bit-identical
-  // floating-point gather folds (see the struct comment).
-  std::vector<uint64_t> gather_fill(n, 0);
-  std::vector<uint64_t> scatter_fill(n, 0);
-  for (uint64_t i = 0; i < num_edges; ++i) {
-    const graph::Edge& e = dg.edges[i];
-    const uint8_t m = plan.edge_machine[i];
-    if (gather_in) {
-      const uint64_t slot = plan.gather_offsets[e.dst] + gather_fill[e.dst]++;
-      plan.gather_nbr[slot] = e.src;
-      plan.gather_machine[slot] = m;
+  // floating-point gather folds (see the struct comment). Each entry's
+  // machine goes to a transient tag array that only the run-table build
+  // reads; it is freed before Build returns.
+  {
+    std::vector<uint8_t> gather_tag(plan.gather_offsets[n]);
+    std::vector<uint8_t> scatter_tag(plan.scatter_offsets[n]);
+    std::vector<uint64_t> gather_fill(n, 0);
+    std::vector<uint64_t> scatter_fill(n, 0);
+    for (uint64_t i = 0; i < num_edges; ++i) {
+      const graph::Edge& e = dg.edges[i];
+      const uint8_t m = plan.edge_machine[i];
+      if (gather_in) {
+        const uint64_t slot = plan.gather_offsets[e.dst] + gather_fill[e.dst]++;
+        plan.gather_nbr[slot] = e.src;
+        gather_tag[slot] = m;
+      }
+      if (gather_out) {
+        const uint64_t slot = plan.gather_offsets[e.src] + gather_fill[e.src]++;
+        plan.gather_nbr[slot] = e.dst;
+        gather_tag[slot] = m;
+      }
+      if (scatter_out) {
+        const uint64_t slot =
+            plan.scatter_offsets[e.src] + scatter_fill[e.src]++;
+        plan.scatter_target[slot] = e.dst;
+        scatter_tag[slot] = m;
+      }
+      if (scatter_in) {
+        const uint64_t slot =
+            plan.scatter_offsets[e.dst] + scatter_fill[e.dst]++;
+        plan.scatter_target[slot] = e.src;
+        scatter_tag[slot] = m;
+      }
     }
-    if (gather_out) {
-      const uint64_t slot = plan.gather_offsets[e.src] + gather_fill[e.src]++;
-      plan.gather_nbr[slot] = e.dst;
-      plan.gather_machine[slot] = m;
-    }
-    if (scatter_out) {
-      const uint64_t slot =
-          plan.scatter_offsets[e.src] + scatter_fill[e.src]++;
-      plan.scatter_target[slot] = e.dst;
-      plan.scatter_machine[slot] = m;
-    }
-    if (scatter_in) {
-      const uint64_t slot =
-          plan.scatter_offsets[e.dst] + scatter_fill[e.dst]++;
-      plan.scatter_target[slot] = e.src;
-      plan.scatter_machine[slot] = m;
-    }
+    internal::BuildAccountingRuns(plan.gather_offsets, gather_tag,
+                                  dg.num_machines, &plan.gather_run_offsets,
+                                  &plan.gather_runs);
+    internal::BuildAccountingRuns(plan.scatter_offsets, scatter_tag,
+                                  dg.num_machines, &plan.scatter_run_offsets,
+                                  &plan.scatter_runs);
   }
-
-  // Accounting runs come from the per-entry machine tags; after this the
-  // tags themselves are only needed by the uncompressed layout (the legacy
-  // per-edge kernels).
-  internal::BuildAccountingRuns(plan.gather_offsets, plan.gather_machine,
-                                dg.num_machines, &plan.gather_run_offsets,
-                                &plan.gather_runs);
-  internal::BuildAccountingRuns(plan.scatter_offsets, plan.scatter_machine,
-                                dg.num_machines, &plan.scatter_run_offsets,
-                                &plan.scatter_runs);
 
   if (layout == PlanLayout::kCompressed) {
     internal::CompressBlocks(plan.gather_offsets, plan.gather_nbr,
@@ -266,9 +265,7 @@ ExecutionPlan ExecutionPlan::Build(const partition::DistributedGraph& dg,
     // Release the CSR arrays: the compressed engine path never touches
     // them, and keeping them would defeat the memory shrink.
     plan.gather_nbr = {};
-    plan.gather_machine = {};
     plan.scatter_target = {};
-    plan.scatter_machine = {};
   }
 
   if (graphx_counts) {

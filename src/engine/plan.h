@@ -50,13 +50,14 @@ using util::ReadPackedBits;
 
 /// Physical layout of a plan's adjacency arrays.
 ///
-///  - kUncompressed: plain CSR — one 4-byte neighbor id plus one 1-byte
-///    machine tag per entry (the PR-2 representation).
+///  - kUncompressed: plain CSR — one 4-byte neighbor id per entry.
 ///  - kCompressed: per-vertex zigzag-delta blocks bit-packed at a fixed
 ///    per-vertex width, decoded with word-aligned loads in ORIGINAL edge
 ///    order (so float gather folds stay bit-identical to the serial
-///    oracle); per-entry machine tags are dropped entirely — the batched
-///    accounting run tables carry the per-machine counts instead.
+///    oracle).
+///
+/// Neither layout stores a per-entry machine tag: the accounting run
+/// tables carry each center's per-machine counts.
 enum class PlanLayout { kUncompressed, kCompressed };
 
 /// Display name of a plan layout ("uncompressed" / "compressed").
@@ -108,17 +109,13 @@ struct ExecutionPlan {
   std::vector<uint64_t> gather_offsets;
   /// kUncompressed only: neighbor whose state v folds, per entry.
   std::vector<graph::VertexId> gather_nbr;
-  /// kUncompressed only: machine charged for the fold, per entry.
-  std::vector<uint8_t> gather_machine;
 
   /// Scatter adjacency offsets (same contract as gather_offsets).
   std::vector<uint64_t> scatter_offsets;
   /// kUncompressed only: neighbor woken into the next frontier, per entry.
   std::vector<graph::VertexId> scatter_target;
-  /// kUncompressed only: machine charged for the scatter, per entry.
-  std::vector<uint8_t> scatter_machine;
 
-  // --- Batch-accounting run tables (both layouts) --------------------------
+  // --- Accounting run tables (both layouts) --------------------------------
   // For center v, entries [gather_run_offsets[v], gather_run_offsets[v+1])
   // of gather_runs are packed (machine, count) pairs in ascending machine
   // order: v's adjacency charges `count` whole work units to `machine`.
@@ -163,10 +160,10 @@ struct ExecutionPlan {
   std::vector<uint16_t> scatter_partition_count;
 
   /// Bytes held by the layout-dependent adjacency representation (CSR
-  /// neighbor/machine arrays for kUncompressed; blobs plus per-vertex
-  /// block metadata for kCompressed). The memory-shrink claims compare
-  /// this across layouts; shared structures (offsets, runs, masks) are
-  /// identical in both and excluded.
+  /// neighbor arrays for kUncompressed, 4 bytes per entry; blobs plus
+  /// per-vertex block metadata for kCompressed). The memory-shrink metric
+  /// compares this across layouts; shared structures (offsets, runs,
+  /// masks) are identical in both and excluded.
   uint64_t AdjacencyBytes() const;
 
   /// Degrees for the application context: dg's ingest-time cache when it

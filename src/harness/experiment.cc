@@ -87,7 +87,6 @@ partition::IngestOptions IngestOptionsFor(const ExperimentSpec& spec,
   options.use_block_store = spec.use_block_ingress;
   options.block_size_edges = spec.ingress_block_size_edges;
   options.memory_budget_bytes = spec.ingress_memory_budget_bytes;
-  options.overlap_decode = spec.ingress_overlap_decode;
   switch (spec.engine) {
     case engine::EngineKind::kPowerGraphSync:
       options.master_policy = partition::MasterPolicy::kRandomReplica;

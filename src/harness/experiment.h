@@ -54,8 +54,9 @@ struct ExperimentSpec {
   uint32_t kcore_kmax = 20;
   uint64_t seed = 42;
   /// Adjacency layout for the execution plans this cell builds (plan.h).
-  /// kCompressed stores delta-varint blocks (~2x smaller on heavy-tailed
-  /// graphs); simulated results are bit-identical across layouts.
+  /// kCompressed stores bit-packed zigzag-delta blocks (~1.8x smaller than
+  /// the 4-byte CSR on heavy-tailed graphs); simulated results are
+  /// bit-identical across layouts.
   engine::PlanLayout plan_layout = engine::PlanLayout::kUncompressed;
   /// Parallel loaders (0 = one per machine, the paper's setup).
   uint32_t num_loaders = 0;
@@ -71,9 +72,6 @@ struct ExperimentSpec {
   /// Byte budget for the streaming pipeline's decoded working set
   /// (IngestOptions::memory_budget_bytes; 0 = unbounded double buffering).
   uint64_t ingress_memory_budget_bytes = 0;
-  /// Overlap block decode with the partition kernels (default on; the
-  /// bench baseline turns it off).
-  bool ingress_overlap_decode = true;
   /// Capture a resource timeline (Fig 6.3). The timeline lives in the
   /// ExperimentResult, so it stays a flag here rather than moving into
   /// `exec` (which carries caller-owned sinks).

@@ -97,6 +97,7 @@ void RegisterChunkedStrategies() {
   RegistryForBuiltins().Register(StrategyInfo{
       .kind = StrategyKind::kChunked,
       .name = "Chunked",
+      .aliases = {},
       .traits = {.passes_required = 2, .needs_degree_precompute = true},
       .factory = [](const PartitionContext& context)
           -> std::unique_ptr<Partitioner> {

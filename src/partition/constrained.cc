@@ -204,6 +204,7 @@ void RegisterConstrainedStrategies() {
   registry.Register(StrategyInfo{
       .kind = StrategyKind::kGrid,
       .name = "Grid",
+      .aliases = {},
       .traits = {.system_families = kFamilyPowerGraph | kFamilyPowerLyra,
                  .power_graph_rank = 1,
                  .power_lyra_rank = 1,
@@ -216,6 +217,7 @@ void RegisterConstrainedStrategies() {
   registry.Register(StrategyInfo{
       .kind = StrategyKind::kPds,
       .name = "PDS",
+      .aliases = {},
       .traits = {.system_families = kFamilyPowerGraph | kFamilyPowerLyra,
                  .power_graph_rank = 4,
                  .power_lyra_rank = 5,

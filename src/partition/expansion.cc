@@ -390,6 +390,7 @@ void RegisterExpansionStrategies() {
   registry.Register(StrategyInfo{
       .kind = StrategyKind::kNe,
       .name = "NE",
+      .aliases = {},
       .traits = {.passes_required = 2},
       .factory = [](const PartitionContext& context)
           -> std::unique_ptr<Partitioner> {
@@ -398,6 +399,7 @@ void RegisterExpansionStrategies() {
   registry.Register(StrategyInfo{
       .kind = StrategyKind::kSne,
       .name = "SNE",
+      .aliases = {},
       .traits = {.passes_required = 2,
                  .parallel_safe = false,
                  .memory_budget_aware = true},

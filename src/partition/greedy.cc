@@ -19,8 +19,7 @@ LoaderState::LoaderState(graph::VertexId num_vertices,
                          bool track_degrees)
     : replicas(num_vertices, num_partitions),
       machine_load(num_partitions, 0),
-      rng(seed),
-      min_count(num_partitions) {
+      rng(seed) {
   if (track_degrees) partial_degree.assign(num_vertices, 0);
 }
 
@@ -183,7 +182,7 @@ MachineId ObliviousPartitioner::Assign(const graph::Edge& e, uint32_t pass,
 
   state.replicas.Add(e.src, target);
   state.replicas.Add(e.dst, target);
-  state.AddEdgeTo(target);
+  ++state.machine_load[target];
   return target;
 }
 
@@ -210,10 +209,14 @@ MachineId HdrfPartitioner::Assign(const graph::Edge& e, uint32_t pass,
   double theta_u = deg_u / (deg_u + deg_v);
   double theta_v = 1.0 - theta_u;
 
-  // Incrementally maintained by LoaderState::AddEdgeTo — the seed scanned
-  // all P loads here on every edge.
-  const uint64_t max_load = state.max_load;
-  const uint64_t min_load = state.min_load;
+  // C_BAL's max/min load: one scan of the P loads, which the simulated
+  // cost above already charges as part of scoring every machine.
+  uint64_t heaviest = 0;
+  uint64_t lightest = std::numeric_limits<uint64_t>::max();
+  for (uint64_t load : state.machine_load) {
+    heaviest = std::max(heaviest, load);
+    lightest = std::min(lightest, load);
+  }
   constexpr double kEpsilon = 1.0;
 
   double best_score = -std::numeric_limits<double>::infinity();
@@ -227,8 +230,8 @@ MachineId HdrfPartitioner::Assign(const graph::Edge& e, uint32_t pass,
     double g_v =
         state.replicas.Contains(e.dst, m) ? 1.0 + (1.0 - theta_v) : 0.0;
     double c_rep = g_u + g_v;
-    double c_bal = static_cast<double>(max_load - state.machine_load[m]) /
-                   (kEpsilon + static_cast<double>(max_load - min_load));
+    double c_bal = static_cast<double>(heaviest - state.machine_load[m]) /
+                   (kEpsilon + static_cast<double>(heaviest - lightest));
     double score = c_rep + lambda_ * c_bal;
     if (score > best_score + 1e-12) {
       best_score = score;
@@ -242,7 +245,7 @@ MachineId HdrfPartitioner::Assign(const graph::Edge& e, uint32_t pass,
 
   state.replicas.Add(e.src, chosen);
   state.replicas.Add(e.dst, chosen);
-  state.AddEdgeTo(chosen);
+  ++state.machine_load[chosen];
   return chosen;
 }
 
@@ -252,6 +255,7 @@ void RegisterGreedyStrategies() {
   registry.Register(StrategyInfo{
       .kind = StrategyKind::kOblivious,
       .name = "Oblivious",
+      .aliases = {},
       .traits = {.system_families = kFamilyPowerGraph | kFamilyPowerLyra,
                  .power_graph_rank = 2,
                  .power_lyra_rank = 2,
@@ -264,6 +268,7 @@ void RegisterGreedyStrategies() {
   registry.Register(StrategyInfo{
       .kind = StrategyKind::kHdrf,
       .name = "HDRF",
+      .aliases = {},
       .traits = {.system_families = kFamilyPowerGraph,
                  .power_graph_rank = 3,
                  .in_paper_roster = true,

@@ -15,8 +15,8 @@ namespace gdp::partition {
 /// machines ("each machine is oblivious to the assignments made by the
 /// other machines", §5.2.2), so each loader has its own replica view, load
 /// counters, and — for HDRF — partial-degree counters. Loaders run on
-/// different threads and write rng, touched_vertices and the min/max
-/// tracker per edge, so each state starts on a cache line of its own.
+/// different threads and write rng and touched_vertices per edge, so each
+/// state starts on a cache line of its own.
 struct alignas(util::kCacheLineBytes) LoaderState {
   LoaderState(graph::VertexId num_vertices, uint32_t num_partitions,
               uint64_t seed, bool track_degrees);
@@ -29,25 +29,6 @@ struct alignas(util::kCacheLineBytes) LoaderState {
   /// their loader-local replica views in hash tables, so modeled state
   /// memory scales with touched vertices, not with |V|.
   uint64_t touched_vertices = 0;
-
-  /// Incrementally maintained min/max of machine_load, so HDRF's balance
-  /// term needs no per-edge O(P) scan. min_count tracks how many machines
-  /// sit at min_load; when the last one is incremented the minimum bumps by
-  /// exactly one (loads grow by single edges) and only then is an O(P)
-  /// recount paid — amortized O(1) per edge.
-  uint64_t min_load = 0;
-  uint64_t max_load = 0;
-  uint32_t min_count = 0;
-
-  /// Records one edge placed on `m`, keeping min/max in sync.
-  void AddEdgeTo(sim::MachineId m) {
-    uint64_t now = ++machine_load[m];
-    if (now > max_load) max_load = now;
-    if (now - 1 == min_load && --min_count == 0) {
-      ++min_load;  // every machine is >= old min + 1, and m sits exactly there
-      for (uint64_t load : machine_load) min_count += load == min_load;
-    }
-  }
 
   uint64_t ApproxBytes() const;
 };

@@ -95,6 +95,7 @@ void RegisterHashStrategies() {
   registry.Register(StrategyInfo{
       .kind = StrategyKind::kAsymmetricRandom,
       .name = "Assym-Rand",
+      .aliases = {},
       .traits = {.system_families = kFamilyGraphX,
                  .graphx_rank = 0,
                  .in_paper_roster = true,
@@ -106,6 +107,7 @@ void RegisterHashStrategies() {
   registry.Register(StrategyInfo{
       .kind = StrategyKind::kOneD,
       .name = "1D",
+      .aliases = {},
       .traits = {.system_families = kFamilyGraphX,
                  .graphx_rank = 2,
                  .in_paper_roster = true,
@@ -117,6 +119,7 @@ void RegisterHashStrategies() {
   registry.Register(StrategyInfo{
       .kind = StrategyKind::kOneDTarget,
       .name = "1D-Target",
+      .aliases = {},
       .traits = {.in_paper_roster = true, .paper_roster_rank = 1},
       .factory = [](const PartitionContext& context)
           -> std::unique_ptr<Partitioner> {
@@ -125,6 +128,7 @@ void RegisterHashStrategies() {
   registry.Register(StrategyInfo{
       .kind = StrategyKind::kTwoD,
       .name = "2D",
+      .aliases = {},
       .traits = {.system_families = kFamilyGraphX,
                  .graphx_rank = 3,
                  .in_paper_roster = true,
@@ -136,6 +140,7 @@ void RegisterHashStrategies() {
   registry.Register(StrategyInfo{
       .kind = StrategyKind::kDbh,
       .name = "DBH",
+      .aliases = {},
       .traits = {.parallel_safe = false},
       .factory = [](const PartitionContext& context)
           -> std::unique_ptr<Partitioner> {

@@ -179,6 +179,7 @@ void RegisterHepStrategies() {
   RegistryForBuiltins().Register(StrategyInfo{
       .kind = StrategyKind::kHep,
       .name = "HEP",
+      .aliases = {},
       .traits = {.passes_required = 3,
                  .needs_degree_precompute = true,
                  .memory_budget_aware = true},

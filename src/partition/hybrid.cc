@@ -220,6 +220,7 @@ void RegisterHybridStrategies() {
   registry.Register(StrategyInfo{
       .kind = StrategyKind::kHybrid,
       .name = "Hybrid",
+      .aliases = {},
       .traits = {.passes_required = 2,
                  .needs_degree_precompute = true,
                  .system_families = kFamilyPowerLyra,

@@ -157,6 +157,7 @@ void RegisterTwoPhaseStrategies() {
   RegistryForBuiltins().Register(StrategyInfo{
       .kind = StrategyKind::kTwoPs,
       .name = "2PS",
+      .aliases = {},
       .traits = {.passes_required = 2,
                  .parallel_safe = false,
                  .needs_degree_precompute = true},

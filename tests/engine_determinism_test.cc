@@ -3,7 +3,6 @@
 // the preserved serial engine (reference_engine.h) at every thread count.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -189,11 +188,10 @@ TEST_P(EngineDeterminismTest, PageRankNonDyadicWorkMultiplier) {
                                   apps::PageRankFixed(), options);
 }
 
-TEST_P(EngineDeterminismTest, LayoutAndKernelModeMatrix) {
-  // The full kernel matrix against one serial-reference run: both plan
-  // layouts under the batched kernels, plus the preserved per-edge
-  // baseline, at every thread count. Everything must agree bit-for-bit —
-  // states, RunStats, and per-machine cluster accounting.
+TEST_P(EngineDeterminismTest, LayoutMatrix) {
+  // Both plan layouts against one serial-reference run at every thread
+  // count. Everything must agree bit-for-bit — states, RunStats, and
+  // per-machine cluster accounting.
   const EngineKind kind = GetParam();
   const bool graphx = kind == EngineKind::kGraphXPregel;
   graph::EdgeList edges = PowerLawGraph();
@@ -206,32 +204,20 @@ TEST_P(EngineDeterminismTest, LayoutAndKernelModeMatrix) {
   auto ref =
       RunGasEngineReference(kind, ref_ingest.graph, ref_cluster, app, options);
 
-  struct Config {
-    PlanLayout layout;
-    KernelMode mode;
-  };
-  constexpr Config kConfigs[] = {
-      {PlanLayout::kUncompressed, KernelMode::kBatched},
-      {PlanLayout::kCompressed, KernelMode::kBatched},
-      // The per-edge baseline reads per-entry machine tags, which the
-      // compressed layout drops, so it only pairs with kUncompressed.
-      {PlanLayout::kUncompressed, KernelMode::kPerEdge},
-  };
-  for (const Config& config : kConfigs) {
+  for (PlanLayout layout :
+       {PlanLayout::kUncompressed, PlanLayout::kCompressed}) {
     sim::Cluster cluster(kMachines, sim::CostModel{});
     IngestResult ingest = Partition(edges, cluster);
     const sim::ClusterSnapshot ingested = cluster.Snapshot();
     const ExecutionPlan plan = ExecutionPlan::Build(
         ingest.graph, apps::PageRankApp::kGatherDir,
-        apps::PageRankApp::kScatterDir, graphx, config.layout);
+        apps::PageRankApp::kScatterDir, graphx, layout);
     for (uint32_t threads : kThreadCounts) {
-      SCOPED_TRACE(std::string(PlanLayoutName(config.layout)) + "/" +
-                   KernelModeName(config.mode) + " threads=" +
-                   std::to_string(threads));
+      SCOPED_TRACE(std::string(PlanLayoutName(layout)) +
+                   " threads=" + std::to_string(threads));
       cluster.Restore(ingested);
       RunOptions run_options = options;
       run_options.exec.num_threads = threads;
-      run_options.kernel_mode = config.mode;
       auto got = RunGasEngine(kind, plan, cluster, app, run_options);
       ASSERT_EQ(got.states, ref.states);
       ExpectStatsIdentical(got.stats, ref.stats);
@@ -414,17 +400,56 @@ TEST(ExecutionPlanTest, CompressedLayoutDecodesIdenticalAdjacency) {
     }
   }
 
-  // Run tables are layout-independent; the per-entry arrays are dropped
-  // and the block representation is strictly smaller.
+  // Run tables are layout-independent; the CSR arrays are dropped and the
+  // block representation is strictly smaller.
   EXPECT_EQ(packed.gather_run_offsets, plain.gather_run_offsets);
   EXPECT_EQ(packed.gather_runs, plain.gather_runs);
   EXPECT_EQ(packed.scatter_run_offsets, plain.scatter_run_offsets);
   EXPECT_EQ(packed.scatter_runs, plain.scatter_runs);
   EXPECT_TRUE(packed.gather_nbr.empty());
-  EXPECT_TRUE(packed.gather_machine.empty());
   EXPECT_TRUE(packed.scatter_target.empty());
-  EXPECT_TRUE(packed.scatter_machine.empty());
   EXPECT_LT(packed.AdjacencyBytes(), plain.AdjacencyBytes());
+}
+
+/// Checks one side's (machine, count) run tables against a recount made
+/// straight from the partitioned edges: center v is charged once on
+/// edge_partition[i] % num_machines for each in-direction entry (v is the
+/// edge's dst) and each out-direction entry (v is its src), so a self-loop
+/// counts twice under kBoth.
+void ExpectRunsMatchEdgeRecount(const partition::DistributedGraph& dg,
+                                EdgeDirection dir,
+                                const std::vector<uint64_t>& offsets,
+                                const std::vector<uint64_t>& run_offsets,
+                                const std::vector<uint32_t>& runs) {
+  const graph::VertexId n = dg.num_vertices;
+  std::vector<std::vector<uint64_t>> counts(
+      n, std::vector<uint64_t>(dg.num_machines, 0));
+  for (uint64_t i = 0; i < dg.edges.size(); ++i) {
+    const uint32_t m = dg.edge_partition[i] % dg.num_machines;
+    if (IncludesIn(dir)) ++counts[dg.edges[i].dst][m];
+    if (IncludesOut(dir)) ++counts[dg.edges[i].src][m];
+  }
+  for (graph::VertexId v = 0; v < n; ++v) {
+    uint64_t total = 0;
+    uint32_t prev_machine = 0;
+    bool first = true;
+    for (uint64_t r = run_offsets[v]; r < run_offsets[v + 1]; ++r) {
+      const uint8_t m = ExecutionPlan::RunMachine(runs[r]);
+      const uint32_t c = ExecutionPlan::RunCount(runs[r]);
+      // Runs are distinct machines in ascending order, never empty.
+      ASSERT_TRUE(first || m > prev_machine) << "v=" << v;
+      first = false;
+      prev_machine = m;
+      ASSERT_GT(c, 0u) << "v=" << v;
+      ASSERT_LT(m, dg.num_machines) << "v=" << v;
+      ASSERT_EQ(c, counts[v][m]) << "v=" << v << " machine=" << int{m};
+      total += c;
+    }
+    uint64_t want = 0;
+    for (uint64_t c : counts[v]) want += c;
+    ASSERT_EQ(total, want) << "v=" << v;
+    ASSERT_EQ(offsets[v + 1] - offsets[v], want) << "v=" << v;
+  }
 }
 
 TEST(ExecutionPlanTest, AccountingRunsMatchPerEntryMachineCounts) {
@@ -434,38 +459,59 @@ TEST(ExecutionPlanTest, AccountingRunsMatchPerEntryMachineCounts) {
   const ExecutionPlan plan =
       ExecutionPlan::Build(ingest.graph, EdgeDirection::kIn,
                            EdgeDirection::kOut, /*graphx_counts=*/false);
+  ExpectRunsMatchEdgeRecount(ingest.graph, EdgeDirection::kIn,
+                             plan.gather_offsets, plan.gather_run_offsets,
+                             plan.gather_runs);
+  ExpectRunsMatchEdgeRecount(ingest.graph, EdgeDirection::kOut,
+                             plan.scatter_offsets, plan.scatter_run_offsets,
+                             plan.scatter_runs);
+}
 
-  auto check_side = [&](const std::vector<uint64_t>& offsets,
-                        const std::vector<uint8_t>& machine,
-                        const std::vector<uint64_t>& run_offsets,
-                        const std::vector<uint32_t>& runs) {
-    for (graph::VertexId v = 0; v < edges.num_vertices(); ++v) {
-      std::array<uint64_t, kMachines> counts{};
-      for (uint64_t s = offsets[v]; s < offsets[v + 1]; ++s) {
-        ++counts[machine[s]];
-      }
-      uint64_t total = 0;
-      uint32_t prev_machine = 0;
-      bool first = true;
-      for (uint64_t r = run_offsets[v]; r < run_offsets[v + 1]; ++r) {
-        const uint8_t m = ExecutionPlan::RunMachine(runs[r]);
-        const uint32_t c = ExecutionPlan::RunCount(runs[r]);
-        // Runs are distinct machines in ascending order, never empty.
-        ASSERT_TRUE(first || m > prev_machine) << "v=" << v;
-        first = false;
-        prev_machine = m;
-        ASSERT_GT(c, 0u) << "v=" << v;
-        ASSERT_LT(m, kMachines) << "v=" << v;
-        ASSERT_EQ(c, counts[m]) << "v=" << v << " machine=" << int{m};
-        total += c;
-      }
-      ASSERT_EQ(total, offsets[v + 1] - offsets[v]) << "v=" << v;
+TEST(ExecutionPlanTest, RunTablesAndBytesForEveryDirectionPair) {
+  // A hand-placed graph with a self-loop (3 -> 3), a repeated edge, and an
+  // isolated vertex (5). Four partitions fold onto three machines, so
+  // partition 3 shares machine 0 with partition 0.
+  partition::DistributedGraph dg;
+  dg.num_partitions = 4;
+  dg.num_machines = 3;
+  dg.num_vertices = 6;
+  dg.edges = {{0, 1}, {1, 2}, {2, 0}, {3, 3}, {0, 3}, {4, 0}, {0, 1}, {2, 4}};
+  dg.edge_partition = {0, 1, 2, 3, 0, 2, 3, 1};
+  dg.replicas = partition::ReplicaTable(6, 4);
+  dg.in_edge_partitions = partition::ReplicaTable(6, 4);
+  dg.out_edge_partitions = partition::ReplicaTable(6, 4);
+  for (size_t i = 0; i < dg.edges.size(); ++i) {
+    const graph::Edge& e = dg.edges[i];
+    dg.replicas.Add(e.src, dg.edge_partition[i]);
+    dg.replicas.Add(e.dst, dg.edge_partition[i]);
+    dg.out_edge_partitions.Add(e.src, dg.edge_partition[i]);
+    dg.in_edge_partitions.Add(e.dst, dg.edge_partition[i]);
+  }
+  dg.master = {0, 1, 2, 3, 2, partition::ReplicaTable::kInvalid};
+  dg.present = {true, true, true, true, true, false};
+  dg.num_present_vertices = 5;
+  dg.partition_edge_count = {2, 2, 2, 2};
+
+  constexpr EdgeDirection kDirs[] = {EdgeDirection::kIn, EdgeDirection::kOut,
+                                     EdgeDirection::kBoth};
+  for (EdgeDirection gather : kDirs) {
+    for (EdgeDirection scatter : kDirs) {
+      SCOPED_TRACE("gather=" + std::to_string(static_cast<int>(gather)) +
+                   " scatter=" + std::to_string(static_cast<int>(scatter)));
+      const ExecutionPlan plan =
+          ExecutionPlan::Build(dg, gather, scatter, /*graphx_counts=*/false);
+      ExpectRunsMatchEdgeRecount(dg, gather, plan.gather_offsets,
+                                 plan.gather_run_offsets, plan.gather_runs);
+      ExpectRunsMatchEdgeRecount(dg, scatter, plan.scatter_offsets,
+                                 plan.scatter_run_offsets,
+                                 plan.scatter_runs);
+      // The uncompressed layout holds one 4-byte neighbor id per entry and
+      // nothing else.
+      EXPECT_EQ(plan.AdjacencyBytes(),
+                4 * (plan.gather_offsets.back() +
+                     plan.scatter_offsets.back()));
     }
-  };
-  check_side(plan.gather_offsets, plan.gather_machine,
-             plan.gather_run_offsets, plan.gather_runs);
-  check_side(plan.scatter_offsets, plan.scatter_machine,
-             plan.scatter_run_offsets, plan.scatter_runs);
+  }
 }
 
 }  // namespace

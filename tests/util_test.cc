@@ -605,7 +605,7 @@ TEST(CacheLineLayoutTest, LoaderStatesStartOnTheirOwnLines) {
   loaders.emplace_back(16, 4, /*seed=*/1, /*track_degrees=*/true);
   loaders.emplace_back(16, 4, /*seed=*/2, /*track_degrees=*/true);
   EXPECT_EQ(reinterpret_cast<uintptr_t>(&loaders[0]) % kCacheLineBytes, 0u);
-  EXPECT_NE(LineOf(&loaders[0].max_load), LineOf(&loaders[1].rng));
+  EXPECT_NE(LineOf(&loaders[0].touched_vertices), LineOf(&loaders[1].rng));
 }
 
 }  // namespace

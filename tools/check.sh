@@ -136,8 +136,8 @@ if [[ "$QUICK" == "1" ]]; then
 fi
 
 # Leg 2: the kernel claims benches again, under -march=native. The kernel
-# determinism contract (bit-identical simulated costs across layouts,
-# kernel modes, and thread counts) must survive the host's widest vector
+# determinism contract (bit-identical simulated costs across plan layouts
+# and thread counts) must survive the host's widest vector
 # ISA, not just portable codegen; only bench/ targets get the flag, so
 # everything else in this tree is identical to leg 1's.
 native_leg() {

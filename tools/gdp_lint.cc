@@ -67,9 +67,10 @@
 //                  in the engines' innermost CSR loops. The plan's
 //                  per-vertex (machine, count) run tables charge the same
 //                  integer quarter-units with one call per distinct
-//                  machine, bit-identically (integer sums are order-free).
-//                  The preserved KernelMode::kPerEdge baseline kernels
-//                  carry NOLINT justifications.
+//                  machine, bit-identically (integer sums are order-free),
+//                  and are the engines' only accounting kernel; a
+//                  deliberate per-entry charge needs a NOLINT
+//                  justification.
 //
 // Comment and string contents — including raw string literals R"(...)" —
 // are stripped before matching, so prose and literals never trigger
@@ -454,23 +455,23 @@ void CheckMutexAnnotated(const FileText& f, std::vector<Finding>& findings) {
 
 /// no-per-edge-accounting: an AddWorkUnits call whose machine argument
 /// indexes a per-entry machine array is a per-adjacency-entry charge — the
-/// shape the batched run-table kernels replaced. Advisory: integer charges
-/// are order-free, so batching per vertex is bit-identical; deliberate
-/// per-edge baselines (KernelMode::kPerEdge) carry NOLINT.
+/// shape the run-table kernels replaced. Advisory: integer charges are
+/// order-free, so batching per vertex is bit-identical; a deliberate
+/// per-entry charge carries NOLINT.
 void CheckPerEdgeAccounting(const FileText& f,
                             std::vector<Finding>& findings) {
   if (!InDir(f, "src/engine")) return;
-  static const std::regex kPerEdge(
+  static const std::regex kPerEntryCharge(
       R"(\bAddWorkUnits\s*\([^;]*_machine\s*\[)");
   for (size_t i = 0; i < f.stripped.size(); ++i) {
     if (HasNolint(f.raw[i])) continue;
-    if (std::regex_search(f.stripped[i], kPerEdge)) {
+    if (std::regex_search(f.stripped[i], kPerEntryCharge)) {
       findings.push_back(
           {f.rel, i + 1, "no-per-edge-accounting",
            "AddWorkUnits charged per adjacency entry (per-entry machine "
            "index); batch through the plan's (machine, count) run tables — "
            "integer charges are order-free, so batching is bit-identical — "
-           "or NOLINT a deliberate per-edge baseline"});
+           "or NOLINT a deliberate per-entry charge"});
     }
   }
 }
